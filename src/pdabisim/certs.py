@@ -66,8 +66,15 @@ def stack_doc(word):
     return {"prefix": list(word.prefix), "period": list(word.period)}
 
 
+def word_from(value):
+    """A stack word from its document form: a list of symbol strings."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputError("a stack word must be a list of symbols, got %r" % (value,))
+    return tuple(value)
+
+
 def stack_from(doc):
-    return canonicalize(StackWord(tuple(doc["prefix"]), tuple(doc["period"])))
+    return canonicalize(StackWord(word_from(doc["prefix"]), word_from(doc["period"])))
 
 
 def config_doc(config):
@@ -90,7 +97,7 @@ def rule_doc(rule):
 
 def rule_from(doc):
     return Rule(
-        doc["control"], doc["symbol"], doc["action"], doc["target"], tuple(doc["push"])
+        doc["control"], doc["symbol"], doc["action"], doc["target"], word_from(doc["push"])
     )
 
 
@@ -318,7 +325,7 @@ def witness_from_document(doc):
     candidate = LoopCandidate(
         control=doc["control"],
         symbol=doc["symbol"],
-        period=tuple(doc["period"]),
+        period=word_from(doc["period"]),
         tail=stack_from(doc["tail"]),
         v_rules=tuple(rule_from(r) for r in doc["loop_rules"]),
         w_rules=tuple(rule_from(r) for r in doc["access_rules"]),
@@ -531,6 +538,6 @@ def check_document(doc):
             return _check_regular(doc)
         if kind == "witness":
             return _check_witness(doc)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InputError("malformed %s document: %r" % (kind, exc))
     raise InputError("unknown certificate kind %r" % (kind,))

@@ -602,6 +602,14 @@ def main(argv=None):
     except BudgetError as exc:
         sys.stderr.write("budget exhausted: %s\n" % (exc,))
         return 2
+    except RecursionError:
+        # the game solver recurses once per round, so a deep cutoff can
+        # outrun the interpreter's stack before any budget runs out
+        sys.stderr.write(
+            "budget exhausted: the cutoff is too deep for the recursive game"
+            " solver; try a smaller --cutoff\n"
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,12 @@ adds edges describing how it transforms accepted stacks, until nothing new
 appears.  Queries then run against the automaton instead of the (generally
 infinite) configuration graph.
 
+``poststar`` saturates in one worklist pass that handles each edge once, in
+the style of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000).
+``saturation_edges`` is the naive sweep over every rule; nothing on the fast
+path uses it, so a certificate checker can verify closure independently of
+how the automaton was produced.
+
 Naive truncated-graph exploration is unsound here: popping below a truncation
 exposes symbols the truncation never recorded.  The automaton view does not
 lose that information.
@@ -44,8 +50,27 @@ class ConfigAutomaton:
     original_alphabet: frozenset
     live: tuple = ()        # sorted (state, period) pairs for periodic tails
 
+    # The lookups below are built once per automaton and shared by every
+    # caller, who must not mutate them.  They are not fields, so equality,
+    # hashing and the certificate document ignore them.
+
+    @functools.cached_property
+    def _entry_of(self):
+        return dict(self.entries)
+
+    @functools.cached_property
+    def _expansion_of(self):
+        return dict(self.expansions)
+
+    @functools.cached_property
+    def _adjacency(self):
+        adj = {}
+        for (src, label, dst) in sorted(self.edges):
+            adj.setdefault(src, []).append((label, dst))
+        return adj
+
     def entry(self, control):
-        return dict(self.entries).get(control)
+        return self._entry_of.get(control)
 
     def states(self):
         out = {s for (_, s) in self.entries} | set(self.finals)
@@ -56,13 +81,11 @@ class ConfigAutomaton:
         return out
 
     def flatten(self, symbol):
-        return dict(self.expansions).get(symbol, (symbol,))
+        return self._expansion_of.get(symbol, (symbol,))
 
     def adjacency(self):
-        adj = {}
-        for (src, label, dst) in sorted(self.edges):
-            adj.setdefault(src, []).append((label, dst))
-        return adj
+        """Edges out of each state, in sorted edge order."""
+        return self._adjacency
 
     def dump(self):
         """Line-oriented text form (debugging aid, not a stable interface)."""
@@ -91,9 +114,9 @@ def _eps_closure(adj, states):
 def saturation_edges(pda, entries, edges):
     """One saturation sweep: the edges the rules force, given current ones.
 
-    Callers loop this to a fixpoint; an already saturated automaton gets back
-    an empty set.  Kept separate so a certificate checker can verify closure
-    independently of how the automaton was produced.
+    An already saturated automaton gets back an empty set.  This is the
+    independent closure check for certificates and tests; ``poststar`` does
+    not use it.
     """
     adj = {}
     for (src, label, dst) in edges:
@@ -163,8 +186,82 @@ def initial_skeleton(controls, start):
     return (entries, frozenset(edges), frozenset(finals), tuple(sorted(live)))
 
 
+def _saturate(pda, entries, skeleton):
+    """The least edge set containing ``skeleton`` and closed under the rules.
+
+    One worklist pass; the same fixpoint that looping ``saturation_edges``
+    reaches, with the same ``r%d`` mid state per rule index.  ``reach[s]``
+    holds the controls whose entry state reaches ``s`` by silent edges.  A
+    popped symbol edge fires the matching rules of every control reaching
+    its source; a popped silent edge spreads those controls to its target.
+    A control newly reaching a state fires the symbol edges already popped
+    there and spreads along the silent ones.
+    """
+    entry = dict(entries)
+    fires = {}
+    for (i, rule) in enumerate(pda.rules):
+        fires.setdefault((rule.control, rule.symbol), []).append(
+            (entry[rule.target], rule.push, "r%d" % i)
+        )
+    edges = set()
+    todo = []
+    popped = {}             # state -> [(label, dst), ...] of popped edges
+    reach = {s: {q} for (q, s) in entries}
+
+    def add(edge):
+        if edge not in edges:
+            edges.add(edge)
+            todo.append(edge)
+
+    def fire(control, symbol, dst):
+        for (src, push, mid) in fires.get((control, symbol), ()):
+            if not push:
+                add((src, EPS, dst))
+            elif len(push) == 1:
+                add((src, push[0], dst))
+            else:
+                add((src, push[0], mid))
+                add((mid, push[1], dst))
+
+    def spread(state, controls):
+        stack = [(state, controls)]
+        while stack:
+            (s, incoming) = stack.pop()
+            have = reach.setdefault(s, set())
+            new = incoming - have
+            if not new:
+                continue
+            have |= new
+            for (label, dst) in popped.get(s, ()):
+                if label == EPS:
+                    stack.append((dst, new))
+                else:
+                    for q in new:
+                        fire(q, label, dst)
+
+    for edge in skeleton:
+        add(edge)
+    while todo:
+        (src, label, dst) = todo.pop()
+        popped.setdefault(src, []).append((label, dst))
+        controls = reach.get(src)
+        if not controls:
+            continue
+        if label == EPS:
+            spread(dst, frozenset(controls))
+        else:
+            for q in controls:
+                fire(q, label, dst)
+    return edges
+
+
 def poststar(pda, start, norm_map=None, original_alphabet=None):
     """Saturated automaton of everything reachable from ``start``.
+
+    The edges come from one worklist pass (``_saturate``): the least edge set
+    containing the start skeleton and closed under the rules, which is what
+    looping ``saturation_edges`` to a fixpoint yields too.  Mid states are
+    named ``r<i>`` after the index of the rule that pushes two symbols.
 
     Pre: every rule of ``pda`` pushes at most two symbols (run normalize_rules
     first otherwise).  A periodic start stack is handled by closing the
@@ -182,13 +279,7 @@ def poststar(pda, start, norm_map=None, original_alphabet=None):
             raise InputError("undeclared stack symbol %r" % (sym,))
 
     (entries, skeleton, finals, live) = initial_skeleton(pda.controls, start)
-    edges = set(skeleton)
-
-    while True:
-        fresh = saturation_edges(pda, entries, frozenset(edges))
-        if not fresh:
-            break
-        edges |= fresh
+    edges = _saturate(pda, entries, skeleton)
 
     expansions = norm_map.expansions if norm_map is not None else ()
     original = original_alphabet

@@ -196,3 +196,29 @@ def test_malformed_documents_raise(counter):
         certs.check_document({"format": 1, "kind": "finite-level"})
     with pytest.raises(InputError):
         certs.check_document({"format": 1, "kind": "witness", "pda": {"controls": 3}})
+
+
+def test_words_must_be_lists_of_symbols(counter):
+    result = eqlevel_configs(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), cutoff=16)
+    doc = certs.eq_level_document(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), result)
+    assert certs.check_document(doc).ok
+    pushed = copy.deepcopy(doc)
+    rule = next(r for r in pushed["pda"]["rules"] if r["push"] == ["A", "X"])
+    rule["push"] = "AX"
+    with pytest.raises(InputError):
+        certs.check_document(pushed)
+    stacked = copy.deepcopy(doc)
+    stacked["left"]["config"]["stack"]["prefix"] = "AX"
+    with pytest.raises(InputError):
+        certs.check_document(stacked)
+    with pytest.raises(InputError):
+        certs.stack_from({"prefix": ["A", 7], "period": []})
+
+
+def test_unpackable_strategy_replies_are_input_errors(counter):
+    result = eqlevel_configs(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), cutoff=16)
+    doc = certs.eq_level_document(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), result)
+    bad = copy.deepcopy(doc)
+    bad["strategy"]["replies"] = [[1]]
+    with pytest.raises(InputError):
+        certs.check_document(bad)

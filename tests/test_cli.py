@@ -258,3 +258,10 @@ def test_missing_file_is_an_input_error(files, capsys):
 def test_bad_literal_is_an_input_error(files, capsys):
     assert main(["eqlevel", files["counter.pda"], "p[Z]", "p[X]"]) == 3
     capsys.readouterr()
+
+
+def test_deep_cutoff_is_a_budget_exit_not_a_traceback(files, capsys):
+    code = main(["eqlevel", files["growing.pda"], "p[X]", "p[X X]", "--cutoff", "500"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cutoff is too deep" in err

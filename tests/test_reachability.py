@@ -10,7 +10,9 @@ from pdabisim import (
     InputError,
     StackWord,
     TruncatedConfig,
+    certs,
     member,
+    normalize_rules,
     poststar,
     reachable_truncations,
     completion,
@@ -23,7 +25,13 @@ from pdabisim.reachability import (
     saturation_edges,
 )
 
-from oracles import bounded_reachable, prefix_reachable, prefix_unreachable, random_pda
+from oracles import (
+    bounded_reachable,
+    closure_violations,
+    prefix_reachable,
+    prefix_unreachable,
+    random_pda,
+)
 
 
 def fin(control, *symbols):
@@ -145,3 +153,46 @@ def test_truncations_match_bounded_search():
         assert seen <= got
         for trunc in got:
             assert completion(aut, trunc, depth=2) is not None
+
+
+def naive_fixpoint(pda, start):
+    (entries, edges, _, _) = initial_skeleton(pda.controls, start)
+    edges = set(edges)
+    while True:
+        fresh = saturation_edges(pda, entries, frozenset(edges))
+        if not fresh:
+            return edges
+        edges |= fresh
+
+
+def random_start(rng, pda, kind):
+    symbols = sorted(pda.stack_alphabet)
+    word = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3)))
+    if kind == "finite":
+        stack = StackWord.finite(word)
+    elif kind == "empty":
+        stack = StackWord.finite(())
+    else:
+        period = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3)))
+        stack = StackWord.repeating(word[:1], period)
+    return Config(rng.choice(sorted(pda.controls)), stack)
+
+
+def test_worklist_saturation_matches_the_naive_fixpoint():
+    rng = random.Random(42)
+    for i in range(300):
+        (norm, mapping) = normalize_rules(random_pda(rng))
+        start = random_start(rng, norm, ("finite", "empty", "periodic")[i % 3])
+        aut = poststar(norm, start, mapping)
+        assert aut.edges == naive_fixpoint(norm, start)
+        assert closure_violations(norm, aut) == []
+
+
+def test_cached_lookups_leave_equality_and_hash_alone(twocycle, twocycle_start):
+    aut = poststar(twocycle, twocycle_start)
+    assert member(aut, fin("q", "A", "X"))
+    assert reachable_truncations(aut, 2)
+    assert aut.entry("p") == "c:p" and aut.flatten("A") == ("A",)
+    again = certs.automaton_from(certs.automaton_doc(aut))
+    assert again == aut
+    assert hash(again) == hash(aut)
