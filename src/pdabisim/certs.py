@@ -66,11 +66,20 @@ def stack_doc(word):
     return {"prefix": list(word.prefix), "period": list(word.period)}
 
 
+def _strings(value, what):
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputError("%s must be a list of strings, got %r" % (what, value))
+    return value
+
+
 def word_from(value):
     """A stack word from its document form: a list of symbol strings."""
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise InputError("a stack word must be a list of symbols, got %r" % (value,))
-    return tuple(value)
+    return tuple(_strings(value, "a stack word"))
+
+
+def names_from(value):
+    """An alphabet or state set from its document form: a list of strings."""
+    return frozenset(_strings(value, "a set of names"))
 
 
 def stack_from(doc):
@@ -112,9 +121,9 @@ def pda_doc(pda):
 
 def pda_from(doc):
     return Pda(
-        controls=frozenset(doc["controls"]),
-        stack_alphabet=frozenset(doc["stack"]),
-        actions=frozenset(doc["actions"]),
+        controls=names_from(doc["controls"]),
+        stack_alphabet=names_from(doc["stack"]),
+        actions=names_from(doc["actions"]),
         rules=tuple(rule_from(r) for r in doc["rules"]),
     )
 
@@ -129,8 +138,8 @@ def lts_doc(lts):
 
 def lts_from(doc):
     return FiniteLts(
-        states=frozenset(doc["states"]),
-        actions=frozenset(doc["actions"]),
+        states=names_from(doc["states"]),
+        actions=names_from(doc["actions"]),
         transitions=frozenset((s, a, t) for (s, a, t) in doc["transitions"]),
     )
 
@@ -150,11 +159,11 @@ def automaton_doc(aut):
 def automaton_from(doc):
     return ConfigAutomaton(
         entries=tuple(sorted((c, s) for (c, s) in doc["entries"])),
-        finals=frozenset(doc["finals"]),
+        finals=names_from(doc["finals"]),
         edges=frozenset((src, label, dst) for (src, label, dst) in doc["edges"]),
         expansions=tuple(sorted((sym, tuple(word)) for (sym, word) in doc["expansions"])),
-        alphabet=frozenset(doc["alphabet"]),
-        original_alphabet=frozenset(doc["original_alphabet"]),
+        alphabet=names_from(doc["alphabet"]),
+        original_alphabet=names_from(doc["original_alphabet"]),
         live=tuple(sorted((s, tuple(p)) for (s, p) in doc["live"])),
     )
 

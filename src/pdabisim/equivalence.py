@@ -5,9 +5,10 @@ rounds".  This module layers the pushdown-specific machinery on top of it:
 
 * dead-tail absorption, a semantics-preserving stack truncation that makes
   many growing-stack processes literally equal as configurations;
-* ``eqlevel_configs``, which climbs the levels and then tries to certify
-  full bisimilarity via a ladder of increasingly expensive arguments,
-  returning an EqLevelResult whose certificate a third party can replay;
+* ``eqlevel_configs``, which answers configurations equal after absorption
+  at once, climbs the levels for the others and then tries to certify full
+  bisimilarity via a ladder of increasingly expensive arguments, returning
+  an EqLevelResult whose certificate a third party can replay;
 * the limit level bound used by the non-regularity pump argument;
 * the decision procedure for "pushdown configuration vs finite system".
 """
@@ -236,6 +237,19 @@ def _finite_graph_route(pda, oracle, left, right, cap):
     return EqLevelResult.omega(cert)
 
 
+def _certify_equal(oracle, left, right):
+    """The free argument: equality after dead-tail absorption.
+
+    Absorption preserves behaviour, so configurations that absorb to the
+    same one are bisimilar, and the one-pair relation proves it.  Returns an
+    Omega EqLevelResult, or None when the absorbed configurations differ.
+    """
+    a = oracle.absorb(left)
+    if a != oracle.absorb(right):
+        return None
+    return EqLevelResult.omega(BisimCertificate("equal", (a, a), ((a, a),)))
+
+
 def certify_bisimilar(pda, left, right, budget=512, probe_depth=6, ctx=None):
     """Try to produce a checkable proof that two configurations are bisimilar.
 
@@ -246,11 +260,11 @@ def certify_bisimilar(pda, left, right, budget=512, probe_depth=6, ctx=None):
     the finite-graph route decides negatively) or None when nothing sticks.
     """
     oracle = AbsorbingOracle(pda)
+    equal = _certify_equal(oracle, left, right)
+    if equal is not None:
+        return equal
     a = oracle.absorb(left)
     b = oracle.absorb(right)
-    if a == b:
-        root = _ordered_pair(a, b)
-        return EqLevelResult.omega(BisimCertificate("equal", root, (root,)))
     finite = _finite_graph_route(pda, oracle, a, b, budget)
     if finite is not None:
         return finite
@@ -270,14 +284,18 @@ def certify_bisimilar(pda, left, right, budget=512, probe_depth=6, ctx=None):
 def eqlevel_configs(pda, left, right, cutoff=64, omega_budget=512, ctx=None):
     """The equivalence level of two configurations of one process.
 
-    Levels are climbed up to ``cutoff``; a first disagreement yields
-    Finite(k) with a winning attacker strategy.  If no disagreement shows
-    up, the bisimilarity certification ladder runs; its success turns the
-    answer into Omega with a self-covering relation, otherwise the honest
-    AtLeast(cutoff) stands.
+    Configurations equal after dead-tail absorption are answered Omega at
+    once, without playing a round.  Otherwise levels are climbed up to
+    ``cutoff``; a first disagreement yields Finite(k) with a winning
+    attacker strategy.  If no disagreement shows up, the rest of the
+    certification ladder runs; its success turns the answer into Omega with
+    a self-covering relation, otherwise the honest AtLeast(cutoff) stands.
     """
     validate_config(pda, left)
     validate_config(pda, right)
+    equal = _certify_equal(AbsorbingOracle(pda), left, right)
+    if equal is not None:
+        return equal
     oracle = PdaOracle(pda)
     if ctx is None:
         ctx = GameContext(oracle, oracle)

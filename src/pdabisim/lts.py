@@ -75,11 +75,6 @@ class FiniteLtsOracle(SuccessorOracle):
         return (id(self.lts), state)
 
 
-def successors(oracle, state):
-    """The ordered finite list of (action, successor) pairs of ``state``."""
-    return list(oracle.successors(state))
-
-
 @dataclass(frozen=True)
 class Strategy:
     """One round of a winning attacker strategy.

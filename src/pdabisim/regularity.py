@@ -551,12 +551,11 @@ class PositiveSearch:
     heuristic merely proposes.
     """
 
-    def __init__(self, pda, start, truncation_max=8, cutoff=64):
+    def __init__(self, pda, start, truncation_max=8):
         validate_config(pda, start)
         self.pda = pda
         self.start = start
         self.max_level = min(truncation_max, TRUNCATION_DEPTH_LIMIT - 1)
-        self.cutoff = cutoff
         self.level = 0
         self.attempts = 0
         self.oracle = PdaOracle(pda)
@@ -707,7 +706,7 @@ def decide_regularity(
         return Verdict("regular", "certified", "positive", comparison, stats)
 
     search = StairSearch(pda, start, path_budget=path_budget)
-    positive = PositiveSearch(pda, start, truncation_max=truncation_max, cutoff=cutoff)
+    positive = PositiveSearch(pda, start, truncation_max=truncation_max)
     candidates = iter(search)
     negative_done = False
     examined = 0

@@ -215,6 +215,32 @@ def test_words_must_be_lists_of_symbols(counter):
         certs.stack_from({"prefix": ["A", 7], "period": []})
 
 
+def test_name_sets_must_be_lists_of_names(counter, growing, growing_start):
+    result = eqlevel_configs(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), cutoff=16)
+    doc = certs.eq_level_document(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), result)
+    for (field, spelled) in (("controls", "p"), ("stack", "XA"), ("actions", "ab")):
+        bad = copy.deepcopy(doc)
+        bad["pda"][field] = spelled
+        with pytest.raises(InputError):
+            certs.check_document(bad)
+    verdict = decide_regularity(growing, growing_start)
+    doc = certs.verdict_document(growing, growing_start, verdict)
+    assert certs.check_document(doc).ok
+    for (part, field) in (
+        ("lts", "states"),
+        ("lts", "actions"),
+        ("automaton", "finals"),
+        ("automaton", "alphabet"),
+        ("automaton", "original_alphabet"),
+    ):
+        bad = copy.deepcopy(doc)
+        bad[part][field] = "".join(bad[part][field])
+        with pytest.raises(InputError):
+            certs.check_document(bad)
+    with pytest.raises(InputError):
+        certs.lts_from({"states": ["v", 1], "actions": ["a"], "transitions": []})
+
+
 def test_unpackable_strategy_replies_are_input_errors(counter):
     result = eqlevel_configs(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), cutoff=16)
     doc = certs.eq_level_document(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), result)

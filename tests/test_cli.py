@@ -37,6 +37,20 @@ p X a -> p X X
 p X b -> p X
 """
 
+# two controls running the same growing loop: bisimilar, but not equal
+# after dead-tail absorption, so an eq-level query has to play its rounds
+TWIN = """\
+pda
+controls: p q
+alphabet: a b
+stack: X
+init: p X
+p X a -> p X X
+p X b -> p X
+q X a -> q X X
+q X b -> q X
+"""
+
 LOOP = """\
 lts
 states: f
@@ -52,6 +66,7 @@ def files(tmp_path):
     for (name, text) in (
         ("counter.pda", COUNTER),
         ("growing.pda", GROWING),
+        ("twin.pda", TWIN),
         ("loop.lts", LOOP),
     ):
         target = tmp_path / name
@@ -261,7 +276,15 @@ def test_bad_literal_is_an_input_error(files, capsys):
 
 
 def test_deep_cutoff_is_a_budget_exit_not_a_traceback(files, capsys):
-    code = main(["eqlevel", files["growing.pda"], "p[X]", "p[X X]", "--cutoff", "500"])
+    code = main(["eqlevel", files["twin.pda"], "p[X]", "q[X]", "--cutoff", "500"])
     assert code == 2
     err = capsys.readouterr().err
     assert "cutoff is too deep" in err
+
+
+def test_absorbed_equal_pair_needs_no_rounds(files, capsys):
+    code = main(["eqlevel", files["growing.pda"], "p[X]", "p[X X]", "--cutoff", "500"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "result: omega" in out
+    assert "basis: equal" in out

@@ -11,13 +11,16 @@ from pdabisim import (
     FiniteLts,
     FiniteLtsOracle,
     GameContext,
+    Pda,
     PdaOracle,
+    Rule,
     StackWord,
     TruncatedConfig,
     bisim_pda_vs_finite,
     bounded_bisim,
     certify_bisimilar,
     check_coverage,
+    eqlevel,
     eqlevel_configs,
     limit_level_bound,
 )
@@ -66,6 +69,37 @@ def test_growing_stacks_certify_bisimilar(growing):
     assert got is not None
     assert got.is_omega
     assert check_coverage(growing, got.certificate)
+
+
+def test_absorbed_equal_pairs_are_settled_before_any_round(growing):
+    # a climb to this cutoff would exhaust the recursive game solver
+    left = fin("p", "X")
+    right = fin("p", "X", "X")
+    got = eqlevel_configs(growing, left, right, cutoff=5000)
+    assert got == certify_bisimilar(growing, left, right)
+    assert (got.kind, got.certificate.kind) == ("omega", "equal")
+
+
+def test_bisimilar_pairs_that_absorb_apart_still_climb_and_certify(growing):
+    twin = Pda(
+        controls=frozenset(["p", "q"]),
+        stack_alphabet=growing.stack_alphabet,
+        actions=growing.actions,
+        rules=growing.rules
+        + tuple(Rule("q", r.symbol, r.action, "q", r.push) for r in growing.rules),
+    )
+    got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=8)
+    assert (got.kind, got.certificate.kind) == ("omega", "finite-graph")
+    assert check_coverage(twin, got.certificate)
+
+
+def test_separated_pairs_keep_the_bare_climb_strategy(counter):
+    left = fin("p", "A", "X")
+    right = fin("p", "A", "A", "X")
+    oracle = PdaOracle(counter)
+    got = eqlevel_configs(counter, left, right, cutoff=16)
+    assert got == eqlevel(oracle, left, oracle, right, 16)
+    assert got.kind == "finite"
 
 
 def test_tampered_certificate_fails_coverage(counter):
