@@ -17,7 +17,6 @@ from .lts import (
     Strategy,
     bounded_bisim,
     eqlevel,
-    eqlevels_set,
     quotient_finite,
     region,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "decide_regularity",
     "eqlevel",
     "eqlevel_configs",
-    "eqlevels_set",
     "limit_level_bound",
     "member",
     "normalize_rules",

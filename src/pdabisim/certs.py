@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+from .config import AnalysisConfig
 from .errors import BudgetError, InputError
 from .lts import FiniteLts, FiniteLtsOracle, GameContext, eqlevel
 from .pda import (
@@ -43,8 +44,6 @@ from .equivalence import BisimCertificate, check_coverage
 from .regularity import LoopCandidate, build_witness, pump_bound, verify_witness
 
 FORMAT = 1
-
-KINDS = ("finite-level", "bisimulation", "regular", "witness")
 
 
 def dumps(doc):
@@ -315,22 +314,38 @@ def comparison_root_document(pda, comparison):
     }
 
 
-def witness_from_document(doc):
-    """Rebuild (pda, start, witness, budgets) from a witness document.
+def _read_document(doc, kind, reader):
+    """``reader(doc)`` for a document of this format and kind.
 
-    The pump bound is recomputed with the document's own budgets, so the
-    returned witness is exactly what verify_witness expects.
+    A document of another format or kind, or one missing a field or holding
+    a value of the wrong shape, raises InputError.
     """
-    if doc.get("kind") != "witness":
-        raise InputError("expected a witness document, got kind %r" % (doc.get("kind"),))
+    if doc.get("format") != FORMAT:
+        raise InputError("unsupported certificate format %r" % (doc.get("format"),))
+    if doc.get("kind") != kind:
+        raise InputError("expected a %s document, got kind %r" % (kind, doc.get("kind")))
+    try:
+        return reader(doc)
+    except InputError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError("malformed %s document: %r" % (kind, exc))
+
+
+def _witness_from(doc):
     pda = pda_from(doc["pda"])
     start = config_from(doc["start"])
     validate_config(pda, start)
     budgets = doc.get("budgets", {})
-    cutoff = budgets.get("cutoff", 64)
-    omega_budget = budgets.get("omega_budget", 512)
-    pump_omega = budgets.get("pump_omega_budget", max(64, omega_budget // 2))
-    region_cap = budgets.get("region_cap", 2048)
+    config = AnalysisConfig(
+        **{k: v for (k, v) in budgets.items() if k in ("cutoff", "omega_budget", "region_cap")}
+    )
+    stored = budgets.get("pump_omega_budget", config.pump_omega_budget)
+    if stored != config.pump_omega_budget:
+        raise InputError(
+            "pump_omega_budget %r is not the %d that omega_budget %d gives"
+            % (stored, config.pump_omega_budget, config.omega_budget)
+        )
     candidate = LoopCandidate(
         control=doc["control"],
         symbol=doc["symbol"],
@@ -340,18 +355,26 @@ def witness_from_document(doc):
         w_rules=tuple(rule_from(r) for r in doc["access_rules"]),
         stamped=False,
     )
-    pump = pump_bound(
-        pda, candidate, cutoff=cutoff, region_cap=region_cap, omega_budget=pump_omega
-    )
+    pump = pump_bound(pda, candidate, config)
     witness = build_witness(pda, start, candidate, pump)
-    return (pda, start, witness, {"cutoff": cutoff, "omega_budget": omega_budget})
+    return (pda, start, witness, config)
 
 
-def witness_document(pda, start, evidence, cutoff, omega_budget, region_cap=2048):
+def witness_from_document(doc):
+    """Rebuild (pda, start, witness, config) from a witness document.
+
+    The config holds the document's own budgets, and the pump bound is
+    recomputed with them, so the returned witness and config are exactly
+    what verify_witness expects.  Malformed documents raise InputError.
+    """
+    return _read_document(doc, "witness", _witness_from)
+
+
+def witness_document(pda, start, evidence, config):
     """Certificate document for a verified non-regularity witness.
 
-    The budgets that produced the witness are embedded so the checker can
-    reproduce the exact same bound computation.
+    The budgets of ``config`` that produced the witness are embedded so the
+    checker can reproduce the exact same bound computation.
     """
     witness = evidence.witness
     check = evidence.check
@@ -371,22 +394,20 @@ def witness_document(pda, start, evidence, cutoff, omega_budget, region_cap=2048
         "bound": witness.pump.bound,
         "base_level": check.base.value,
         "budgets": {
-            "cutoff": cutoff,
-            "omega_budget": omega_budget,
-            "pump_omega_budget": max(64, omega_budget // 2),
-            "region_cap": region_cap,
+            "cutoff": config.cutoff,
+            "omega_budget": config.omega_budget,
+            "pump_omega_budget": config.pump_omega_budget,
+            "region_cap": config.region_cap,
         },
     }
 
 
-def verdict_document(pda, start, verdict, cutoff=64, omega_budget=512, region_cap=2048):
-    """Certificate document for a definite regularity verdict."""
+def verdict_document(pda, start, verdict, config=AnalysisConfig()):
+    """Certificate document for a definite regularity verdict reached under ``config``."""
     if verdict.kind == "regular":
         return comparison_document(pda, verdict.certificate)
     if verdict.kind == "nonregular":
-        return witness_document(
-            pda, start, verdict.certificate, cutoff, omega_budget, region_cap
-        )
+        return witness_document(pda, start, verdict.certificate, config)
     raise InputError("an unknown verdict certifies nothing")
 
 
@@ -504,7 +525,7 @@ def _check_regular(doc):
 
 
 def _check_witness(doc):
-    (pda, start, witness, budgets) = witness_from_document(doc)
+    (pda, start, witness, config) = _witness_from(doc)
     if witness.pump.bound != doc["bound"]:
         return CheckResult(
             False,
@@ -512,9 +533,7 @@ def _check_witness(doc):
             "recomputed bound %d does not match the stored %r"
             % (witness.pump.bound, doc["bound"]),
         )
-    check = verify_witness(
-        pda, witness, cutoff=budgets["cutoff"], omega_budget=budgets["omega_budget"]
-    )
+    check = verify_witness(pda, witness, config)
     if check.verdict != "verified":
         return CheckResult(
             False, "witness", "re-verification was not conclusive: %s" % (check.reason,)
@@ -535,18 +554,13 @@ def check_document(doc):
     Malformed documents raise InputError; well-formed ones always produce a
     CheckResult, failed checks included.
     """
-    if doc.get("format") != FORMAT:
-        raise InputError("unsupported certificate format %r" % (doc.get("format"),))
+    checks = {
+        "finite-level": _check_finite_level,
+        "bisimulation": _check_bisimulation,
+        "regular": _check_regular,
+        "witness": _check_witness,
+    }
     kind = doc.get("kind")
-    try:
-        if kind == "finite-level":
-            return _check_finite_level(doc)
-        if kind == "bisimulation":
-            return _check_bisimulation(doc)
-        if kind == "regular":
-            return _check_regular(doc)
-        if kind == "witness":
-            return _check_witness(doc)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise InputError("malformed %s document: %r" % (kind, exc))
-    raise InputError("unknown certificate kind %r" % (kind,))
+    if kind not in checks:
+        raise InputError("unknown certificate kind %r" % (kind,))
+    return _read_document(doc, kind, checks[kind])

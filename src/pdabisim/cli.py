@@ -237,14 +237,9 @@ def _read(path):
 
 
 def _settings(args):
-    return AnalysisConfig(
-        cutoff=args.cutoff,
-        omega_budget=args.omega_budget,
-        truncation_max=args.truncation_max,
-        path_budget=args.path_budget,
-        candidate_budget=args.candidate_budget,
-        output_mode=args.format,
-    )
+    """The AnalysisConfig of the budget flags given; the config supplies the rest."""
+    given = vars(args)
+    return AnalysisConfig(**{name: given[name] for name in _BUDGET_FLAGS if name in given})
 
 
 def _emit(args, lines, doc, out):
@@ -261,8 +256,11 @@ def _write_cert(args, doc, lines, report):
         lines.append("certificate: none")
         report["certificate"] = None
         return
-    with open(args.cert_out, "w") as handle:
-        handle.write(certs.dumps(doc))
+    try:
+        with open(args.cert_out, "w") as handle:
+            handle.write(certs.dumps(doc))
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (args.cert_out, exc.strerror or exc))
     lines.append("certificate: written to %s" % (args.cert_out,))
     report["certificate"] = args.cert_out
 
@@ -279,15 +277,7 @@ def _eqlevel_doc(result):
 def cmd_regcheck(args, out):
     (pda, start) = parse_pda(_read(args.pda))
     settings = _settings(args)
-    verdict = decide_regularity(
-        pda,
-        start,
-        cutoff=settings.cutoff,
-        omega_budget=settings.omega_budget,
-        truncation_max=settings.truncation_max,
-        path_budget=settings.path_budget,
-        candidate_budget=settings.candidate_budget,
-    )
+    verdict = decide_regularity(pda, start, settings)
     lines = ["verdict: %s" % (verdict.kind,)]
     report = {
         "command": "regcheck",
@@ -328,9 +318,7 @@ def cmd_regcheck(args, out):
                 for (copies, r) in check.corroboration
             ],
         }
-        cert_doc = certs.witness_document(
-            pda, start, verdict.certificate, settings.cutoff, settings.omega_budget
-        )
+        cert_doc = certs.witness_document(pda, start, verdict.certificate, settings)
     elif verdict.kind == "regular":
         comparison = verdict.certificate
         lines.append("state: %s" % (comparison.finite_state,))
@@ -360,9 +348,7 @@ def cmd_eqlevel(args, out):
     left = parse_config_literal(args.left)
     right = parse_config_literal(args.right)
     settings = _settings(args)
-    result = eqlevel_configs(
-        pda, left, right, cutoff=settings.cutoff, omega_budget=settings.omega_budget
-    )
+    result = eqlevel_configs(pda, left, right, settings.cutoff, settings.omega_budget)
     lines = [
         "left: %s" % (left.format(),),
         "right: %s" % (right.format(),),
@@ -470,10 +456,8 @@ def cmd_poststar(args, out):
 
 def cmd_witness_verify(args, out):
     doc = certs.loads(_read(args.cert))
-    (pda, start, witness, budgets) = certs.witness_from_document(doc)
-    check = verify_witness(
-        pda, witness, cutoff=budgets["cutoff"], omega_budget=budgets["omega_budget"]
-    )
+    (pda, start, witness, config) = certs.witness_from_document(doc)
+    check = verify_witness(pda, witness, config)
     lines = [
         "verdict: %s" % (check.verdict,),
         "bound: %d" % (check.bound,),
@@ -518,25 +502,40 @@ def cmd_certcheck(args, out):
     return 0 if result.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, the input-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+
+# the help text of every budget flag, by AnalysisConfig field; the default is the config's
+_BUDGET_FLAGS = {
+    "cutoff": "eq-level game cutoff",
+    "omega_budget": "bisimulation search budget; 0 turns the search off",
+    "truncation_max": "deepest truncation level tried; 0 turns the positive search off",
+    "path_budget": "loop-path exploration budget",
+    "candidate_budget": "witness candidates tried",
+}
+
+
+def _add_budgets(parser, *names):
+    for name in names:
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=int,
+            default=argparse.SUPPRESS,
+            help="%s (default %d)" % (_BUDGET_FLAGS[name], getattr(AnalysisConfig, name)),
+        )
+
+
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--cutoff", type=int, default=64, help="eq-level game cutoff")
-    shared.add_argument(
-        "--omega-budget", type=int, default=512, help="bisimulation search budget"
-    )
-    shared.add_argument(
-        "--truncation-max", type=int, default=8, help="deepest truncation level tried"
-    )
-    shared.add_argument(
-        "--path-budget", type=int, default=10000, help="loop-path exploration budget"
-    )
-    shared.add_argument(
-        "--candidate-budget", type=int, default=200, help="witness candidates tried"
-    )
     shared.add_argument(
         "--format", choices=("human", "structured"), default="human", help="output mode"
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdabisim",
         description="Analyze pushdown processes up to bisimilarity.",
     )
@@ -545,6 +544,7 @@ def build_parser():
     p = sub.add_parser("regcheck", parents=[shared], help="is the process regular?")
     p.add_argument("pda", help="pda file")
     p.add_argument("--cert-out", help="write the certificate document here")
+    _add_budgets(p, *_BUDGET_FLAGS)
     p.set_defaults(func=cmd_regcheck)
 
     p = sub.add_parser(
@@ -554,6 +554,7 @@ def build_parser():
     p.add_argument("left", help="configuration literal, e.g. 'p[A X]'")
     p.add_argument("right", help="configuration literal, e.g. 'p[](A)w'")
     p.add_argument("--cert-out", help="write the certificate document here")
+    _add_budgets(p, "cutoff", "omega_budget")
     p.set_defaults(func=cmd_eqlevel)
 
     p = sub.add_parser(
@@ -607,7 +608,7 @@ def main(argv=None):
         # outrun the interpreter's stack before any budget runs out
         sys.stderr.write(
             "budget exhausted: the cutoff is too deep for the recursive game"
-            " solver; try a smaller --cutoff\n"
+            " solver; try a smaller cutoff\n"
         )
         return 2
 

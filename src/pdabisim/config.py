@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError
 from .reachability import TRUNCATION_DEPTH_LIMIT
@@ -10,13 +10,16 @@ from .reachability import TRUNCATION_DEPTH_LIMIT
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Budgets for the semidecision procedures.
+    """The one home of every analysis budget and its default.
 
     cutoff bounds eq-level games, omega_budget bounds bisimulation-relation
-    search, truncation_max bounds the positive side's depth ladder,
-    path_budget bounds loop-path exploration and candidate_budget the number
-    of witnesses tried.  output_mode picks between prose and a structured
-    document.
+    search (0 turns it off), truncation_max bounds the positive side's depth
+    ladder (0 turns the positive search off), path_budget bounds loop-path
+    exploration, candidate_budget the number of witnesses tried, and
+    region_cap the states explored around a pump limit.  The pump argument
+    runs its relation searches with the derived ``pump_omega_budget``.  A
+    non-regularity witness document stores cutoff, omega_budget and
+    region_cap, so the checker rebuilds this object from them.
     """
 
     cutoff: int = 64
@@ -24,19 +27,25 @@ class AnalysisConfig:
     truncation_max: int = 8
     path_budget: int = 10000
     candidate_budget: int = 200
-    output_mode: str = "human"
+    region_cap: int = 2048
 
     def __post_init__(self):
-        for name in ("cutoff", "omega_budget", "truncation_max", "path_budget", "candidate_budget"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise InputError("%s must be a positive integer, got %r" % (name, value))
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # 0 turns the relation search or the positive search off
+            least = 0 if field.name in ("omega_budget", "truncation_max") else 1
+            # type() rather than isinstance(): True and False are ints too
+            if type(value) is not int or value < least:
+                raise InputError(
+                    "%s must be an integer of at least %d, got %r" % (field.name, least, value)
+                )
         if self.truncation_max > TRUNCATION_DEPTH_LIMIT:
             raise InputError(
                 "truncation_max is capped at %d, got %d"
                 % (TRUNCATION_DEPTH_LIMIT, self.truncation_max)
             )
-        if self.output_mode not in ("human", "structured"):
-            raise InputError(
-                "output_mode must be 'human' or 'structured', got %r" % (self.output_mode,)
-            )
+
+    @property
+    def pump_omega_budget(self):
+        """The relation-search budget of the pump argument's level bound."""
+        return max(64, self.omega_budget // 2)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import AnalysisConfig
 from .errors import BudgetError, InputError
 from .lts import (
     EqLevelResult,
@@ -25,6 +26,7 @@ from .lts import (
     SuccessorOracle,
     bounded_bisim,
     eqlevel,
+    refine_blocks,
     region,
 )
 from .pda import Config, PdaOracle, StackWord, step, validate_config
@@ -209,19 +211,7 @@ def _finite_graph_route(pda, oracle, left, right, cap):
     except BudgetError:
         return None
     states = sorted(reach_left | reach_right, key=Config.sort_key)
-    succ = {s: oracle.successors(s) for s in states}
-    block = {s: 0 for s in states}
-    while True:
-        sigs = {}
-        for s in states:
-            sig = (block[s], tuple(sorted({(a, block[t]) for (a, t) in succ[s]})))
-            sigs.setdefault(sig, []).append(s)
-        if len(sigs) == len(set(block.values())):
-            break
-        block = {}
-        for (i, sig) in enumerate(sorted(sigs)):
-            for s in sigs[sig]:
-                block[s] = i
+    block = refine_blocks(states, {s: oracle.successors(s) for s in states})
     if block[left] != block[right]:
         exact = eqlevel(oracle, left, oracle, right, len(states) + 1)
         assert exact.is_finite, "refinement split the pair but no level separates it"
@@ -250,7 +240,9 @@ def _certify_equal(oracle, left, right):
     return EqLevelResult.omega(BisimCertificate("equal", (a, a), ((a, a),)))
 
 
-def certify_bisimilar(pda, left, right, budget=512, probe_depth=6, ctx=None):
+def certify_bisimilar(
+    pda, left, right, budget=AnalysisConfig.omega_budget, probe_depth=6, ctx=None
+):
     """Try to produce a checkable proof that two configurations are bisimilar.
 
     Three arguments are attempted in order of cost: equality after dead-tail
@@ -281,7 +273,14 @@ def certify_bisimilar(pda, left, right, budget=512, probe_depth=6, ctx=None):
     return None
 
 
-def eqlevel_configs(pda, left, right, cutoff=64, omega_budget=512, ctx=None):
+def eqlevel_configs(
+    pda,
+    left,
+    right,
+    cutoff=AnalysisConfig.cutoff,
+    omega_budget=AnalysisConfig.omega_budget,
+    ctx=None,
+):
     """The equivalence level of two configurations of one process.
 
     Configurations equal after dead-tail absorption are answered Omega at
@@ -325,14 +324,17 @@ class LevelBound:
     pairs: int
 
 
-def limit_level_bound(pda, control, top, period, cutoff=64, region_cap=2048, omega_budget=256):
+def limit_level_bound(pda, control, top, period, config=AnalysisConfig()):
     """Bound the finite eq-levels around the limit configuration.
 
     For the limit configuration (control, top period^w): iterate the period's
     control-set images to find the preperiod, cycle length and stable image
     L; then compare every configuration within the derivation radius of the
     limit against the limit configurations of L, recording the largest
-    finite equivalence level.  Returns (LevelBound, PeriodIteration).
+    finite equivalence level.  The games stop at ``config.cutoff``, the
+    region at ``config.region_cap`` states, and each relation search at
+    ``config.pump_omega_budget`` pairs.  Returns (LevelBound,
+    PeriodIteration).
     """
     table = cached_transformers(pda)
     iteration = period_iteration(table, control, top, tuple(period))
@@ -345,7 +347,7 @@ def limit_level_bound(pda, control, top, period, cutoff=64, region_cap=2048, ome
     center = oracle.absorb(Config(control, StackWord.repeating((top,), period)))
     exact = True
     try:
-        around = region(oracle, center, radius, max_states=region_cap)
+        around = region(oracle, center, radius, max_states=config.region_cap)
     except BudgetError as blown:
         around = blown.partial
         exact = False
@@ -356,11 +358,13 @@ def limit_level_bound(pda, control, top, period, cutoff=64, region_cap=2048, ome
     for near in sorted(around, key=Config.sort_key):
         for lim in limits:
             pairs += 1
-            got = eqlevel(oracle, near, oracle, lim, cutoff, ctx=ctx)
+            got = eqlevel(oracle, near, oracle, lim, config.cutoff, ctx=ctx)
             if got.is_finite:
                 value = max(value, got.value)
                 continue
-            settled = certify_bisimilar(pda, near, lim, budget=omega_budget, probe_depth=4)
+            settled = certify_bisimilar(
+                pda, near, lim, budget=config.pump_omega_budget, probe_depth=4
+            )
             if settled is None:
                 exact = False
             elif settled.is_finite:

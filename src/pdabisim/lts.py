@@ -263,29 +263,14 @@ def region(oracle, start, radius, max_states=None):
     return seen
 
 
-def eqlevels_set(oracle1, states1, oracle2, states2, cutoff, ctx=None):
-    """The set of eq-level results between the two state sets, pairwise."""
-    if ctx is None:
-        ctx = GameContext(oracle1, oracle2)
-    out = set()
-    for s in states1:
-        for t in states2:
-            out.add(eqlevel(oracle1, s, oracle2, t, cutoff, ctx=ctx))
-    return out
+def refine_blocks(states, succ):
+    """Bisimilarity classes of a finite graph, by signature refinement.
 
-
-def quotient_finite(lts):
-    """Collapse a finite LTS to its bisimilarity classes.
-
-    Returns (quotient LTS, mapping from original state to class name).  The
-    refinement is the plain iterated-signature scheme: start from one block,
-    split by (action, target block) signatures until stable.  Class names are
-    derived from the smallest member, so the result is deterministic.
+    ``states`` is the sorted state list and ``succ`` maps each state to its
+    (action, target) pairs.  Start from one block and split by (action,
+    target block) signatures until stable; returns the block number of
+    every state.
     """
-    states = sorted(lts.states)
-    if not states:
-        return FiniteLts(frozenset(), lts.actions, frozenset()), {}
-    succ = lts.successor_map()
     block = {s: 0 for s in states}
     while True:
         sigs = {}
@@ -293,11 +278,24 @@ def quotient_finite(lts):
             sig = (block[s], tuple(sorted({(a, block[t]) for (a, t) in succ[s]})))
             sigs.setdefault(sig, []).append(s)
         if len(sigs) == len(set(block.values())):
-            break
+            return block
         block = {}
-        for i, sig in enumerate(sorted(sigs)):
+        for (i, sig) in enumerate(sorted(sigs)):
             for s in sigs[sig]:
                 block[s] = i
+
+
+def quotient_finite(lts):
+    """Collapse a finite LTS to its bisimilarity classes.
+
+    Returns (quotient LTS, mapping from original state to class name).  The
+    classes come from ``refine_blocks``.  Class names are derived from the
+    smallest member, so the result is deterministic.
+    """
+    states = sorted(lts.states)
+    if not states:
+        return FiniteLts(frozenset(), lts.actions, frozenset()), {}
+    block = refine_blocks(states, lts.successor_map())
     members = {}
     for s in states:
         members.setdefault(block[s], []).append(s)

@@ -290,13 +290,6 @@ class NormalizationMap:
             out.extend(table.get(sym, (sym,)))
         return tuple(out)
 
-    def flatten_config(self, config):
-        stack = StackWord(
-            self.flatten_word(config.stack.prefix),
-            self.flatten_word(config.stack.period),
-        )
-        return Config(config.control, canonicalize(stack))
-
 
 @functools.lru_cache(maxsize=None)
 def cached_normalized(pda):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import AnalysisConfig
 from .errors import BudgetError, InputError
 from .lts import FiniteLts, GameContext, bounded_bisim
 from .pda import (
@@ -145,7 +146,7 @@ class StairSearch:
     were expanded (``budget_hit``).
     """
 
-    def __init__(self, pda, start, path_budget=10000):
+    def __init__(self, pda, start, path_budget=AnalysisConfig.path_budget):
         validate_config(pda, start)
         self.pda = pda
         self.start = start
@@ -329,16 +330,10 @@ class PumpBound:
     bound: int
 
 
-def pump_bound(pda, candidate, cutoff=64, region_cap=2048, omega_budget=256):
+def pump_bound(pda, candidate, config=AnalysisConfig()):
     """Compute the separation bound for a loop candidate."""
     (levels, iteration) = limit_level_bound(
-        pda,
-        candidate.control,
-        candidate.symbol,
-        candidate.period,
-        cutoff=cutoff,
-        region_cap=region_cap,
-        omega_budget=omega_budget,
+        pda, candidate.control, candidate.symbol, candidate.period, config
     )
     table = cached_transformers(pda)
     reach = iteration.preperiod + iteration.cycle_length
@@ -446,7 +441,7 @@ def _replay(pda, config, rules, what):
     return config
 
 
-def verify_witness(pda, witness, cutoff=64, omega_budget=512):
+def verify_witness(pda, witness, config=AnalysisConfig()):
     """Re-check a witness from scratch.
 
     Structural replay first: the access path must reach the loop head and
@@ -498,7 +493,7 @@ def verify_witness(pda, witness, cutoff=64, omega_budget=512):
             witness.control, witness.symbol, witness.period, witness.tail, copies
         )
         result = eqlevel_configs(
-            pda, pumped, witness.c_inf, cutoff=cutoff, omega_budget=omega_budget, ctx=ctx
+            pda, pumped, witness.c_inf, config.cutoff, config.omega_budget, ctx=ctx
         )
         checks.append((copies, result))
     (_, base) = checks[0]
@@ -524,7 +519,7 @@ def verify_witness(pda, witness, cutoff=64, omega_budget=512):
         )
     else:
         verdict = "exhausted"
-        reason = "no separation up to the cutoff %d" % (cutoff,)
+        reason = "no separation up to the cutoff %d" % (config.cutoff,)
 
     certified = (
         verdict == "verified" and witness.pump.levels.exact and corroborated is True
@@ -551,7 +546,7 @@ class PositiveSearch:
     heuristic merely proposes.
     """
 
-    def __init__(self, pda, start, truncation_max=8):
+    def __init__(self, pda, start, truncation_max=AnalysisConfig.truncation_max):
         validate_config(pda, start)
         self.pda = pda
         self.start = start
@@ -676,23 +671,14 @@ class Verdict:
     stats: tuple
 
 
-def decide_regularity(
-    pda,
-    start,
-    cutoff=64,
-    omega_budget=512,
-    truncation_max=8,
-    path_budget=10000,
-    candidate_budget=200,
-    region_cap=2048,
-):
+def decide_regularity(pda, start, config=AnalysisConfig()):
     """Decide (semidecide, in general) regularity of a configuration.
 
     Runs the negative and positive procedures in a deterministic round-robin
     (a fixed number of witness candidates per positive level) and returns
     the first verdict either one establishes.  When both sides exhaust
-    their budgets the verdict is honestly "unknown" with the search
-    statistics attached.
+    their budgets (all taken from ``config``) the verdict is honestly
+    "unknown" with the search statistics attached.
     """
     validate_config(pda, start)
     if not step(pda, start):
@@ -705,8 +691,8 @@ def decide_regularity(
         )
         return Verdict("regular", "certified", "positive", comparison, stats)
 
-    search = StairSearch(pda, start, path_budget=path_budget)
-    positive = PositiveSearch(pda, start, truncation_max=truncation_max)
+    search = StairSearch(pda, start, config.path_budget)
+    positive = PositiveSearch(pda, start, config.truncation_max)
     candidates = iter(search)
     negative_done = False
     examined = 0
@@ -729,17 +715,9 @@ def decide_regularity(
                     negative_done = True
                     break
                 examined += 1
-                pump = pump_bound(
-                    pda,
-                    candidate,
-                    cutoff=cutoff,
-                    region_cap=region_cap,
-                    omega_budget=max(64, omega_budget // 2),
-                )
+                pump = pump_bound(pda, candidate, config)
                 witness = build_witness(pda, start, candidate, pump)
-                check = verify_witness(
-                    pda, witness, cutoff=cutoff, omega_budget=omega_budget
-                )
+                check = verify_witness(pda, witness, config)
                 if check.verdict == "verified":
                     exactness = "certified" if check.certified else "modulo-cutoff"
                     return Verdict(
@@ -749,7 +727,7 @@ def decide_regularity(
                         NonRegularityEvidence(witness, check),
                         stats(),
                     )
-                if examined >= candidate_budget:
+                if examined >= config.candidate_budget:
                     negative_done = True
                     break
         if not positive.exhausted:

@@ -288,3 +288,118 @@ def test_absorbed_equal_pair_needs_no_rounds(files, capsys):
     out = capsys.readouterr().out
     assert "result: omega" in out
     assert "basis: equal" in out
+
+
+def _write_doc(files, name, doc):
+    path = str(files["dir"] / name)
+    open(path, "w").write(certs.dumps(doc))
+    return path
+
+
+def test_default_witness_document_carries_the_default_budgets(files, capsys):
+    cert = str(files["dir"] / "counter.cert.json")
+    assert main(["regcheck", files["counter.pda"], "--cert-out", cert]) == 1
+    doc = certs.loads(open(cert).read())
+    assert doc["budgets"] == {
+        "cutoff": 64,
+        "omega_budget": 512,
+        "pump_omega_budget": 256,
+        "region_cap": 2048,
+    }
+
+
+def test_budget_flags_reach_the_witness_document(files, capsys):
+    cert = str(files["dir"] / "counter.cert.json")
+    code = main(
+        [
+            "regcheck", files["counter.pda"], "--cutoff", "32", "--omega-budget", "100",
+            "--cert-out", cert,
+        ]
+    )
+    assert code == 1
+    doc = certs.loads(open(cert).read())
+    assert doc["budgets"] == {
+        "cutoff": 32,
+        "omega_budget": 100,
+        "pump_omega_budget": 64,
+        "region_cap": 2048,
+    }
+    assert main(["certcheck", cert]) == 0
+
+
+@pytest.mark.parametrize(
+    "budgets",
+    [{"pump_omega_budget": 300}, {"cutoff": 0}, {"cutoff": True}],
+    ids=["pump-omega-mismatch", "zero-cutoff", "bool-cutoff"],
+)
+def test_witness_documents_with_bad_budgets_are_input_errors(files, capsys, budgets):
+    cert = str(files["dir"] / "counter.cert.json")
+    main(["regcheck", files["counter.pda"], "--cert-out", cert])
+    doc = certs.loads(open(cert).read())
+    doc["budgets"].update(budgets)
+    bad = _write_doc(files, "bad.cert.json", doc)
+    assert main(["certcheck", bad]) == 3
+    assert main(["witness-verify", bad]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zero_budgets_turn_searches_off(files, capsys):
+    code = main(["regcheck", files["growing.pda"], "--truncation-max", "0"])
+    out = capsys.readouterr().out
+    assert code != 3
+    assert "stat positive-levels: 0" in out
+    code = main(["eqlevel", files["twin.pda"], "p[X]", "q[X]", "--omega-budget", "0"])
+    assert code != 3
+
+
+def test_malformed_witness_documents_exit_3(files, capsys):
+    path = _write_doc(files, "malformed.json", {"kind": "witness", "format": 1})
+    assert main(["witness-verify", path]) == 3
+    assert main(["certcheck", path]) == 3
+
+
+def test_unknown_format_witness_is_not_verified(files, capsys):
+    cert = str(files["dir"] / "counter.cert.json")
+    main(["regcheck", files["counter.pda"], "--cert-out", cert])
+    doc = certs.loads(open(cert).read())
+    doc["format"] = 99
+    assert main(["witness-verify", _write_doc(files, "future.json", doc)]) == 3
+
+
+def test_unwritable_cert_out_is_an_input_error(files, capsys):
+    target = str(files["dir"] / "missing-dir" / "x.json")
+    assert main(["regcheck", files["counter.pda"], "--cert-out", target]) == 3
+    assert "cannot write" in capsys.readouterr().err
+
+
+USAGE_ERRORS = {
+    "non-integer-budget": ["regcheck", "counter.pda", "--cutoff", "abc"],
+    "unknown-format": ["regcheck", "counter.pda", "--format", "xml"],
+    "missing-subcommand": [],
+    "quotient-budget": ["quotient", "loop.lts", "--cutoff", "5"],
+    "bisim-finite-budget": ["bisim-finite", "growing.pda", "loop.lts", "f", "--cutoff", "5"],
+    "poststar-budget": ["poststar", "counter.pda", "--omega-budget", "5"],
+    "certcheck-budget": ["certcheck", "loop.lts", "--cutoff", "5"],
+    "witness-verify-budget": ["witness-verify", "loop.lts", "--cutoff", "5"],
+    "eqlevel-regcheck-only-budget": [
+        "eqlevel", "counter.pda", "p[X]", "p[A X]", "--truncation-max", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_3(files, capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main([files.get(arg, arg) for arg in argv])
+    assert stop.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    with pytest.raises(SystemExit) as stop:
+        main(["regcheck", "--help"])
+    assert stop.value.code == 0
+    assert "--candidate-budget" in capsys.readouterr().out

@@ -13,7 +13,6 @@ from pdabisim import (
     InputError,
     bounded_bisim,
     eqlevel,
-    eqlevels_set,
     quotient_finite,
     region,
 )
@@ -96,19 +95,6 @@ def test_region_walks_radius():
     with pytest.raises(BudgetError) as blown:
         region(o, "t0", 99, max_states=2)
     assert "t0" in blown.value.partial
-
-
-def test_eqlevels_set_collects_pairwise_results():
-    chain = make_lts(
-        ["t0", "t1", "t2"],
-        ["a"],
-        [("t0", "a", "t1"), ("t1", "a", "t2")],
-    )
-    o = FiniteLtsOracle(chain)
-    got = eqlevels_set(o, ["t0", "t2"], o, ["t2"], 5)
-    kinds = {(r.kind, r.value) for r in got}
-    assert ("finite", 0) in kinds
-    assert ("at_least", 5) in kinds
 
 
 def test_bounded_games_agree_with_tree_unfolding_oracle():

@@ -158,7 +158,6 @@ def test_normalize_rules_caps_push_length():
     for name in composites:
         assert len(mapping.flatten_word((name,))) >= 2
     start = Config("p", StackWord.finite(("X",)))
-    assert mapping.flatten_config(start) == start
     ctx = GameContext(PdaOracle(wide), PdaOracle(flat))
     assert ctx.bisim(start, start, 8)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from pdabisim import (
+    AnalysisConfig,
     Config,
     InputError,
     Rule,
@@ -88,7 +89,7 @@ def test_witness_exhausts_under_tiny_cutoff(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
     pump = pump_bound(counter, candidate)
     witness = build_witness(counter, counter_start, candidate, pump)
-    check = verify_witness(counter, witness, cutoff=2, omega_budget=0)
+    check = verify_witness(counter, witness, AnalysisConfig(cutoff=2, omega_budget=0))
     assert check.verdict == "exhausted"
     assert not check.certified
 
@@ -204,9 +205,7 @@ def test_decide_reports_unknown_when_budgets_run_dry(growing, growing_start):
     verdict = decide_regularity(
         growing,
         growing_start,
-        truncation_max=0,
-        path_budget=300,
-        candidate_budget=10,
+        AnalysisConfig(truncation_max=0, path_budget=300, candidate_budget=10),
     )
     assert verdict.kind == "unknown"
     assert verdict.certificate is None
