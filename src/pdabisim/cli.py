@@ -34,15 +34,24 @@ def _section(line, name):
     return line[len(name) + 1 :].split()
 
 
+def _first_time(seen, name, lineno):
+    """Record a section's line; a section given twice is an input error."""
+    if name in seen:
+        raise InputError(
+            "repeated '%s:' section (first on line %d)" % (name, seen[name]), line=lineno
+        )
+    seen[name] = lineno
+
+
 def parse_pda(text):
     """Parse the pda file format; returns (Pda, initial Config).
 
     ``#`` starts a comment; blank lines are ignored.  Everything must be
-    declared before use and duplicate rules are rejected.
+    declared before use; repeated sections and duplicate rules are rejected.
     """
     controls = actions = stack = None
     init = None
-    init_line = None
+    sections = {}
     rules = []
     rule_lines = {}
     header = False
@@ -57,22 +66,25 @@ def parse_pda(text):
             continue
         got = _section(line, "controls")
         if got is not None:
+            _first_time(sections, "controls", lineno)
             controls = got
             continue
         got = _section(line, "alphabet")
         if got is not None:
+            _first_time(sections, "alphabet", lineno)
             actions = got
             continue
         got = _section(line, "stack")
         if got is not None:
+            _first_time(sections, "stack", lineno)
             stack = got
             continue
         got = _section(line, "init")
         if got is not None:
+            _first_time(sections, "init", lineno)
             if not got:
                 raise InputError("init needs a control state", line=lineno)
             init = got
-            init_line = lineno
             continue
         tokens = line.split()
         if len(tokens) < 6 or tokens[3] != "->":
@@ -126,13 +138,14 @@ def parse_pda(text):
     try:
         validate_config(pda, start)
     except InputError as exc:
-        raise InputError(str(exc), line=init_line)
+        raise InputError(str(exc), line=sections["init"])
     return (pda, start)
 
 
 def parse_lts(text):
-    """Parse the finite-system file format."""
+    """Parse the finite-system file format; repeated sections are rejected."""
     states = actions = None
+    sections = {}
     transitions = []
     header = False
     for (lineno, raw) in enumerate(text.splitlines(), 1):
@@ -146,10 +159,12 @@ def parse_lts(text):
             continue
         got = _section(line, "states")
         if got is not None:
+            _first_time(sections, "states", lineno)
             states = got
             continue
         got = _section(line, "actions")
         if got is not None:
+            _first_time(sections, "actions", lineno)
             actions = got
             continue
         got = _section(line, "trans")

@@ -264,32 +264,64 @@ def region(oracle, start, radius, max_states=None):
 
 
 def refine_blocks(states, succ):
-    """Bisimilarity classes of a finite graph, by signature refinement.
+    """Bisimilarity classes of a finite graph, by incremental refinement.
 
-    ``states`` is the sorted state list and ``succ`` maps each state to its
-    (action, target) pairs.  Start from one block and split by (action,
-    target block) signatures until stable; returns the block number of
-    every state.
+    ``states`` is the state list and ``succ`` maps each state to its
+    (action, target) pairs.  Returns a block number per state; equal numbers
+    mean bisimilar.  Block numbers are never reused, and every block keeps
+    the signature its members share: the set of (action, target block)
+    pairs.
+
+    Round 1 signs every state; round r+1 re-signs only the predecessors of
+    the states that moved to a new block in round r.  Any other state has
+    the same successor blocks as one round earlier, so its signature is
+    still its block's.  All of a round's signatures are computed before any
+    state moves, so after round r the blocks are exactly r-step
+    bisimilarity, as with full rounds.  Within a block, the group that keeps
+    the block's number is the one whose signature equals the block's, when
+    some member was not re-signed; otherwise it is the largest group (the
+    first one signed on a tie).  Every other group moves to a new block.
+    Refinement stops when no state moves.
     """
-    block = {s: 0 for s in states}
-    while True:
-        sigs = {}
-        for s in states:
-            sig = (block[s], tuple(sorted({(a, block[t]) for (a, t) in succ[s]})))
-            sigs.setdefault(sig, []).append(s)
-        if len(sigs) == len(set(block.values())):
-            return block
-        block = {}
-        for (i, sig) in enumerate(sorted(sigs)):
-            for s in sigs[sig]:
-                block[s] = i
+    block = dict.fromkeys(states, 0)
+    size = [len(block)]
+    shared = [None]
+    pred = {s: [] for s in states}
+    for s in states:
+        for (_, t) in succ[s]:
+            pred[t].append(s)
+    dirty = states
+    while dirty:
+        groups = {}
+        for s in dirty:
+            sig = frozenset((a, block[t]) for (a, t) in succ[s])
+            groups.setdefault(block[s], {}).setdefault(sig, []).append(s)
+        moved = []
+        for (b, by_sig) in groups.items():
+            if sum(map(len, by_sig.values())) < size[b]:
+                keep = shared[b]
+            else:
+                keep = max(by_sig, key=lambda g: len(by_sig[g]))
+                shared[b] = keep
+            for (sig, group) in by_sig.items():
+                if sig == keep:
+                    continue
+                size[b] -= len(group)
+                for s in group:
+                    block[s] = len(size)
+                size.append(len(group))
+                shared.append(sig)
+                moved.extend(group)
+        dirty = list(dict.fromkeys(p for t in moved for p in pred[t]))
+    return block
 
 
 def quotient_finite(lts):
     """Collapse a finite LTS to its bisimilarity classes.
 
     Returns (quotient LTS, mapping from original state to class name).  The
-    classes come from ``refine_blocks``.  Class names are derived from the
+    classes are the blocks of ``refine_blocks``, which re-signs only the
+    states whose successors changed block.  Class names are derived from the
     smallest member, so the result is deterministic.
     """
     states = sorted(lts.states)

@@ -109,6 +109,44 @@ def test_pda_parse_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "text,repeated,first,again",
+    [
+        ("pda\ncontrols: p\nalphabet: a\nstack: X\ninit: p X\ncontrols: q\n", "controls", 2, 6),
+        ("pda\ncontrols: p\nalphabet: a\nstack: X\nalphabet: b\ninit: p X\n", "alphabet", 3, 5),
+        ("pda\ncontrols: p\nstack: X\nalphabet: a\nstack: Y\ninit: p X\n", "stack", 3, 5),
+        ("pda\ncontrols: p\nalphabet: a\nstack: X\ninit: p X\np X a -> p .\ninit: p\n", "init", 5, 7),
+    ],
+)
+def test_repeated_pda_sections_are_input_errors(files, capsys, text, repeated, first, again):
+    message = "line %d: repeated '%s:' section (first on line %d)" % (again, repeated, first)
+    with pytest.raises(InputError) as got:
+        parse_pda(text)
+    assert str(got.value) == message
+    path = files["dir"] / "repeated.pda"
+    path.write_text(text)
+    assert main(["regcheck", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,repeated,first,again",
+    [
+        ("lts\nstates: a\nactions: x\ntrans: a x a\nstates: b\n", "states", 2, 5),
+        ("lts\nactions: x\nstates: a\nactions: y\ntrans: a x a\n", "actions", 2, 4),
+    ],
+)
+def test_repeated_lts_sections_are_input_errors(files, capsys, text, repeated, first, again):
+    message = "line %d: repeated '%s:' section (first on line %d)" % (again, repeated, first)
+    with pytest.raises(InputError) as got:
+        parse_lts(text)
+    assert str(got.value) == message
+    path = files["dir"] / "repeated.lts"
+    path.write_text(text)
+    assert main(["quotient", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_config_literal_forms():
     assert parse_config_literal("p[X A]") == Config("p", StackWord.finite(("X", "A")))
     assert parse_config_literal("p[]") == Config("p", StackWord.finite())

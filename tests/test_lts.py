@@ -1,6 +1,7 @@
 """Finite systems, bounded games, eq-levels and the quotient construction."""
 
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -16,6 +17,7 @@ from pdabisim import (
     quotient_finite,
     region,
 )
+from pdabisim.lts import refine_blocks
 
 from oracles import lts_successors, random_lts, tree_bisim, tree_eqlevel
 
@@ -160,3 +162,72 @@ def test_quotient_of_empty_system():
     (quotient, mapping) = quotient_finite(lts)
     assert quotient.states == frozenset()
     assert mapping == {}
+
+
+def doubled(lts):
+    """The system next to a primed copy of itself."""
+    copy = {s: s + "'" for s in lts.states}
+    trans = lts.transitions | {(copy[s], a, copy[t]) for (s, a, t) in lts.transitions}
+    return make_lts(lts.states | frozenset(copy.values()), lts.actions, trans)
+
+
+def quotient_classes_checked(lts):
+    """quotient_finite's mapping, checked against full bisimilarity."""
+    (_, mapping) = quotient_finite(lts)
+    succ = lts_successors(lts)
+    cutoff = len(lts.states) + 1
+    memo = {}
+    for s in lts.states:
+        for t in lts.states:
+            got = tree_eqlevel(succ, s, t, cutoff, memo)
+            assert (mapping[s] == mapping[t]) == (got == ("at_least", cutoff)), (s, t)
+    return mapping
+
+
+def test_quotient_classes_are_full_bisimilarity():
+    rng = random.Random(33)
+    loops = several_actions = 0
+    for _ in range(200):
+        base = random_lts(rng)
+        loops += any(s == t for (s, _, t) in base.transitions)
+        several_actions += len(base.actions) > 1
+        quotient_classes_checked(base)
+        mapping = quotient_classes_checked(doubled(base))
+        for s in base.states:
+            assert mapping[s] == mapping[s + "'"], s
+    assert loops >= 100
+    assert several_actions >= 100
+
+
+class CountingSuccessors(Mapping):
+    """A successor table that counts its lookups."""
+
+    def __init__(self, table):
+        self.table = table
+        self.lookups = 0
+
+    def __getitem__(self, state):
+        self.lookups += 1
+        return self.table[state]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_refinement_looks_up_a_chain_a_bounded_number_of_times():
+    # each chain state sits at its own distance from the b loop, so the
+    # classes split one per round; full rounds would look up n**2 / 2 times
+    n = 2000
+    chain = ["c%d" % i for i in range(n)]
+    table = {}
+    for names in (chain, [c + "'" for c in chain]):
+        for (i, s) in enumerate(names):
+            table[s] = (("a", names[i + 1]),) if i + 1 < n else (("b", s),)
+    succ = CountingSuccessors(table)
+    block = refine_blocks(sorted(table), succ)
+    assert len(set(block.values())) == n
+    assert all(block[c] == block[c + "'"] for c in chain)
+    assert succ.lookups <= 4 * len(table)
