@@ -561,6 +561,6 @@ def check_document(doc):
         "witness": _check_witness,
     }
     kind = doc.get("kind")
-    if kind not in checks:
+    if not isinstance(kind, str) or kind not in checks:
         raise InputError("unknown certificate kind %r" % (kind,))
     return _read_document(doc, kind, checks[kind])

@@ -23,7 +23,6 @@ from .lts import (
     EqLevelResult,
     FiniteLtsOracle,
     GameContext,
-    SuccessorOracle,
     bounded_bisim,
     eqlevel,
     refine_blocks,
@@ -72,18 +71,18 @@ def absorb_dead_tail(pda, config):
         pos = (pos + 1) % len(period)
 
 
-class AbsorbingOracle(SuccessorOracle):
+class AbsorbingOracle(PdaOracle):
     """Successor oracle that absorbs dead tails after every step.
 
     The absorbed graph is pointwise bisimilar to the raw one but often
     finite where the raw graph is not (stacks that only ever grow dead
     material collapse), which is what makes exhaustive region exploration
-    feasible.
+    feasible.  Being bisimilar, both graphs share the pop-horizon game key
+    of ``PdaOracle``, so absorbed and raw configurations share game results.
     """
 
     def __init__(self, pda):
-        self.pda = pda
-        self.actions = pda.actions
+        super().__init__(pda)
         self._cache = {}
 
     def absorb(self, config):
@@ -95,9 +94,6 @@ class AbsorbingOracle(SuccessorOracle):
 
     def successors(self, config):
         return [(a, self.absorb(c)) for (a, c) in step(self.pda, config)]
-
-    def game_key(self, config, depth):
-        return (id(self.pda), "absorbed", config)
 
 
 def _ordered_pair(c, d):

@@ -55,6 +55,14 @@ class SuccessorOracle:
         raise NotImplementedError
 
     def game_key(self, state, depth):
+        """A hashable key for the state's behaviour over ``depth`` rounds.
+
+        The contract: states with equal keys at depth k, from this oracle or
+        from any other, are k-bisimilar.  ``GameContext`` answers a pair
+        with equal keys as equivalent without playing, and shares one memo
+        entry among all pairs with the same two keys, so a key may hide
+        everything k rounds cannot expose but nothing more.
+        """
         return (id(self), state)
 
 

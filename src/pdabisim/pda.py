@@ -13,10 +13,12 @@ sequence.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
 from .lts import SuccessorOracle
+from .transformers import cached_transformers
 
 
 @dataclass(frozen=True, order=True)
@@ -246,9 +248,16 @@ def step(pda, config):
 class PdaOracle(SuccessorOracle):
     """Successor oracle presenting a pda's configuration graph as an LTS.
 
-    The game key at depth k is the depth-k truncation: configurations that
-    agree on their top k symbols behave identically for k rounds, so game
-    results may be shared between them.
+    The game key at depth k is the control plus the stack's top symbols, up
+    to a horizon that k rounds cannot see past.  Popping a symbol X takes at
+    least floor(X) moves, the fewest steps of any emptying triple (p, X, q);
+    a symbol without triples is never popped.  The key walks the stack from
+    the top (prefix, then period repeated) and stops once the floors of the
+    symbols taken add up to k, or just after a symbol that is never popped.
+    Exposing the symbol below the kept ones therefore takes at least k
+    moves, so configurations with one key have isomorphic k-round
+    unfoldings and may share game results.  Every floor is at least 1, so
+    the key never keeps more than the top k symbols.
     """
 
     def __init__(self, pda):
@@ -258,8 +267,24 @@ class PdaOracle(SuccessorOracle):
     def successors(self, config):
         return step(self.pda, config)
 
+    @functools.cached_property
+    def _floors(self):
+        return cached_transformers(self.pda).pop_floors()
+
     def game_key(self, config, depth):
-        return (id(self.pda), config.control, config.stack.expand(depth))
+        floors = self._floors
+        kept = []
+        cost = 0
+        stack = config.stack
+        for sym in itertools.chain(stack.prefix, itertools.cycle(stack.period)):
+            if cost >= depth:
+                break
+            kept.append(sym)
+            floor = floors.get(sym)
+            if floor is None:
+                break
+            cost += floor
+        return (id(self.pda), config.control, tuple(kept))
 
 
 def _fresh_symbol(base, taken):
@@ -280,16 +305,6 @@ class NormalizationMap:
 
     expansions: tuple  # sorted ((symbol, original word), ...)
 
-    def _lookup(self):
-        return dict(self.expansions)
-
-    def flatten_word(self, symbols):
-        table = self._lookup()
-        out = []
-        for sym in symbols:
-            out.extend(table.get(sym, (sym,)))
-        return tuple(out)
-
 
 @functools.lru_cache(maxsize=None)
 def cached_normalized(pda):
@@ -304,8 +319,8 @@ def normalize_rules(pda):
     their first component with the second appended.  The construction is
     iterated until all right-hand sides fit.  Configurations over the old
     alphabet are valid unchanged in the new pda and behave identically; the
-    returned NormalizationMap flattens composite symbols back to original
-    words.
+    returned NormalizationMap records the original word of every composite
+    symbol.
     """
 
     alphabet = set(pda.stack_alphabet)

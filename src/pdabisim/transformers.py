@@ -29,6 +29,16 @@ class TransformerTable:
     def steps(self, control, symbol, end):
         return dict(self.shortest).get((control, symbol, end))
 
+    def pop_floors(self):
+        """symbol -> fewest steps that pop it, over all start and end controls.
+
+        Symbols without any triple are absent: they are never popped.
+        """
+        floors = {}
+        for ((_, symbol, _), steps) in self.shortest:
+            floors[symbol] = min(steps, floors.get(symbol, steps))
+        return floors
+
 
 def _chain_costs(start, word, dist):
     """Cheapest ways to empty ``word`` starting in ``start``: end -> cost."""

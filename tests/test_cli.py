@@ -51,6 +51,22 @@ q X a -> q X X
 q X b -> q X
 """
 
+# like TWIN, but the climb pushes Y's, which can be popped, so a deep
+# game recurses about half the level deep before it reaches a shared key
+DEEP = """\
+pda
+controls: p q
+alphabet: a b
+stack: X Y
+init: p X
+p X a -> p Y X
+p Y a -> p Y Y
+p Y b -> p .
+q X a -> q Y X
+q Y a -> q Y Y
+q Y b -> q .
+"""
+
 LOOP = """\
 lts
 states: f
@@ -67,6 +83,7 @@ def files(tmp_path):
         ("counter.pda", COUNTER),
         ("growing.pda", GROWING),
         ("twin.pda", TWIN),
+        ("deep.pda", DEEP),
         ("loop.lts", LOOP),
     ):
         target = tmp_path / name
@@ -314,10 +331,16 @@ def test_bad_literal_is_an_input_error(files, capsys):
 
 
 def test_deep_cutoff_is_a_budget_exit_not_a_traceback(files, capsys):
-    code = main(["eqlevel", files["twin.pda"], "p[X]", "q[X]", "--cutoff", "500"])
+    code = main(["eqlevel", files["deep.pda"], "p[X]", "q[X]", "--cutoff", "500"])
     assert code == 2
     err = capsys.readouterr().err
     assert "cutoff is too deep" in err
+
+
+def test_twin_climbs_to_a_deep_cutoff(files, capsys):
+    code = main(["eqlevel", files["twin.pda"], "p[X]", "q[X]", "--cutoff", "500"])
+    assert code == 0
+    assert "result: omega" in capsys.readouterr().out
 
 
 def test_absorbed_equal_pair_needs_no_rounds(files, capsys):
@@ -394,6 +417,16 @@ def test_malformed_witness_documents_exit_3(files, capsys):
     path = _write_doc(files, "malformed.json", {"kind": "witness", "format": 1})
     assert main(["witness-verify", path]) == 3
     assert main(["certcheck", path]) == 3
+
+
+@pytest.mark.parametrize(
+    "doc", [{"format": 1, "kind": []}, {}], ids=["list-kind", "empty"]
+)
+def test_documents_without_a_kind_name_exit_3(files, capsys, doc):
+    path = _write_doc(files, "kindless.json", doc)
+    assert main(["certcheck", path]) == 3
+    assert main(["witness-verify", path]) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 def test_unknown_format_witness_is_not_verified(files, capsys):

@@ -245,3 +245,22 @@ def test_visible_pop_property():
             left = fin(q, *(visible + below1))
             right = fin(q, *(visible + below2))
             assert bounded_bisim(oracle, left, oracle, right, len(visible), ctx=ctx)
+
+
+def test_twin_climb_to_a_deep_cutoff_runs_on_memo_hits():
+    # X is never popped, so every twin configuration has a one-symbol key
+    # and each level of the climb is a memo hit one level down, instead of
+    # a recursion as deep as the level
+    twin = Pda(
+        controls=frozenset(["p", "q"]),
+        stack_alphabet=frozenset(["X"]),
+        actions=frozenset(["a", "b"]),
+        rules=tuple(
+            Rule(c, "X", a, c, push)
+            for c in ("p", "q")
+            for (a, push) in (("a", ("X", "X")), ("b", ("X",)))
+        ),
+    )
+    got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=500)
+    assert got.is_omega
+    assert check_coverage(twin, got.certificate)

@@ -19,7 +19,9 @@ from pdabisim import (
     validate_config,
 )
 
-from oracles import random_pda, random_stack
+from pdabisim.equivalence import AbsorbingOracle
+
+from oracles import OracleBudget, game_bisim, random_pda, random_stack
 
 
 def test_finite_words_are_canonical():
@@ -156,7 +158,7 @@ def test_normalize_rules_caps_push_length():
     composites = flat.stack_alphabet - wide.stack_alphabet
     assert composites
     for name in composites:
-        assert len(mapping.flatten_word((name,))) >= 2
+        assert len(dict(mapping.expansions)[name]) >= 2
     start = Config("p", StackWord.finite(("X",)))
     ctx = GameContext(PdaOracle(wide), PdaOracle(flat))
     assert ctx.bisim(start, start, 8)
@@ -178,3 +180,41 @@ def test_normalized_systems_stay_equivalent_on_random_input():
         assert ctx.bisim(config, config, 5)
         checked += 1
     assert checked >= 3
+
+
+def test_game_key_pairs_are_bisimilar_to_the_key_depth():
+    # the key keeps the symbols that k rounds can expose; any stack below
+    # them must leave the k-round game unchanged, which the oracle's
+    # full-configuration game (no truncation) confirms
+    rng = random.Random(23)
+    deep = 0
+    for _ in range(240):
+        pda = random_pda(rng)
+        symbols = sorted(pda.stack_alphabet)
+        oracle = PdaOracle(pda)
+        absorbing = AbsorbingOracle(pda)
+        memo = {}
+        for k in range(1, 7):
+            control = rng.choice(sorted(pda.controls))
+            stack = random_stack(rng, symbols, max_len=8, min_len=1)
+            c = Config(control, StackWord.finite(stack))
+            key = oracle.game_key(c, k)
+            kept = key[2]
+            assert len(kept) <= len(c.stack.expand(k))
+            assert absorbing.game_key(c, k) == key
+            tail = random_stack(rng, symbols, max_len=4)
+            if stack[len(kept):] == tail:
+                continue
+            d = Config(control, StackWord.finite(kept + tail))
+            if oracle.game_key(d, k) != key:
+                # the walk ran off the bottom of c's stack: the key is all of it
+                assert kept == stack
+                continue
+            try:
+                same = game_bisim(pda, (control, stack), (control, kept + tail), k, memo, 20000)
+            except OracleBudget:
+                memo = {}
+                continue
+            assert same, (pda.rules, stack, kept + tail, k)
+            deep += len(kept) < k
+    assert deep >= 300

@@ -1,10 +1,13 @@
 """Loop candidates, pump bounds, witnesses and the combined verdict."""
 
+import random
+
 import pytest
 
 from pdabisim import (
     AnalysisConfig,
     Config,
+    GameContext,
     InputError,
     Rule,
     StackWord,
@@ -17,6 +20,8 @@ from pdabisim import (
     verify_witness,
 )
 from pdabisim.regularity import PositiveSearch, pumped_config
+
+from oracles import random_pda
 
 
 def fin(control, *symbols):
@@ -211,3 +216,24 @@ def test_decide_reports_unknown_when_budgets_run_dry(growing, growing_start):
     assert verdict.certificate is None
     stats = dict(verdict.stats)
     assert stats["negative-candidates"] >= 1
+
+
+@pytest.mark.parametrize("seed", [2034, 2008])
+def test_regularity_games_share_positions_across_stack_tails(monkeypatch, seed):
+    # the limit-level games compare many configurations that differ only
+    # below what the game depth can expose; with the pop-horizon key they
+    # share positions (at the whole-configuration key these two seeds
+    # solved 98,596 and 32,504)
+    solved = []
+    covered = GameContext._covered
+
+    def counting(self, s, t, k):
+        solved.append(k)
+        return covered(self, s, t, k)
+
+    monkeypatch.setattr(GameContext, "_covered", counting)
+    pda = random_pda(random.Random(seed), 3, 3, 8)
+    start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    assert len(solved) < 2000
