@@ -30,7 +30,7 @@ from .pda import (
     Rule,
     StackWord,
     canonicalize,
-    cached_normalized,
+    normalize_rules,
     step,
     validate_config,
 )
@@ -59,6 +59,14 @@ def loads(text):
     if not isinstance(doc, dict):
         raise InputError("certificate documents are JSON objects")
     return doc
+
+
+def _integer(doc, key):
+    """``doc[key]``, which must be a JSON integer: not a boolean, not a float."""
+    value = doc[key]
+    if type(value) is not int:
+        raise InputError("%s must be an integer, got %r" % (key, value))
+    return value
 
 
 def stack_doc(word):
@@ -189,7 +197,7 @@ def _replay_strategy(doc, left, right, succ_left, succ_right, dec_left, dec_righ
     """
     if depth <= 0:
         return False
-    side = doc["side"]
+    side = _integer(doc, "side")
     action = doc["action"]
     if side == 0:
         target = dec_left(doc["target"])
@@ -341,7 +349,7 @@ def _witness_from(doc):
         **{k: v for (k, v) in budgets.items() if k in ("cutoff", "omega_budget", "region_cap")}
     )
     stored = budgets.get("pump_omega_budget", config.pump_omega_budget)
-    if stored != config.pump_omega_budget:
+    if type(stored) is not int or stored != config.pump_omega_budget:
         raise InputError(
             "pump_omega_budget %r is not the %d that omega_budget %d gives"
             % (stored, config.pump_omega_budget, config.omega_budget)
@@ -425,8 +433,8 @@ def _check_finite_level(doc):
     lts = lts_from(doc["lts"]) if "lts" in doc else None
     (left, succ_l, oracle_l, dec_l) = _side_tools(doc["left"], pda, lts)
     (right, succ_r, oracle_r, dec_r) = _side_tools(doc["right"], pda, lts)
-    value = doc["value"]
-    if not isinstance(value, int) or value < 0:
+    value = _integer(doc, "value")
+    if value < 0:
         raise InputError("level must be a non-negative integer, got %r" % (value,))
     won = _replay_strategy(
         doc["strategy"], left, right, succ_l, succ_r, dec_l, dec_r, value + 1
@@ -476,13 +484,13 @@ def _check_regular(doc):
     state = doc["state"]
     if state not in lts.states:
         raise InputError("unknown state %r" % (state,))
-    level = doc["level"]
+    level = _integer(doc, "level")
     if level != len(lts.states):
         return CheckResult(
             False, "regular", "level %r does not match the %d-state system" % (level, len(lts.states))
         )
     aut = automaton_from(doc["automaton"])
-    (norm, mapping) = cached_normalized(pda)
+    (norm, _) = normalize_rules(pda)
     (entries, skeleton, finals, live) = initial_skeleton(norm.controls, start)
     if tuple(sorted(aut.entries)) != entries:
         return CheckResult(False, "regular", "the automaton's entry states are not canonical")
@@ -525,25 +533,27 @@ def _check_regular(doc):
 
 
 def _check_witness(doc):
+    bound = _integer(doc, "bound")
+    base_level = _integer(doc, "base_level")
     (pda, start, witness, config) = _witness_from(doc)
-    if witness.pump.bound != doc["bound"]:
+    if witness.pump.bound != bound:
         return CheckResult(
             False,
             "witness",
             "recomputed bound %d does not match the stored %r"
-            % (witness.pump.bound, doc["bound"]),
+            % (witness.pump.bound, bound),
         )
     check = verify_witness(pda, witness, config)
     if check.verdict != "verified":
         return CheckResult(
             False, "witness", "re-verification was not conclusive: %s" % (check.reason,)
         )
-    if check.base.value != doc["base_level"]:
+    if check.base.value != base_level:
         return CheckResult(
             False,
             "witness",
             "recomputed base level %d does not match the stored %r"
-            % (check.base.value, doc["base_level"]),
+            % (check.base.value, base_level),
         )
     return CheckResult(True, "witness", check.reason)
 

@@ -24,7 +24,7 @@ from .equivalence import bisim_pda_vs_finite, eqlevel_configs
 from .errors import BudgetError, InputError
 from .lts import FiniteLts, quotient_finite
 from .pda import Config, Pda, Rule, StackWord, canonicalize, validate_config
-from .reachability import cached_poststar
+from .reachability import reach_automaton
 from .regularity import decide_regularity, verify_witness
 
 
@@ -457,7 +457,7 @@ def cmd_poststar(args, out):
     if args.start is not None:
         start = parse_config_literal(args.start)
         validate_config(pda, start)
-    aut = cached_poststar(pda, start)
+    aut = reach_automaton(pda, start)
     report = {
         "command": "poststar",
         "input": args.pda,

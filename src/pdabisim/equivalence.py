@@ -31,9 +31,9 @@ from .lts import (
 from .pda import Config, PdaOracle, StackWord, step, validate_config
 from .reachability import (
     TRUNCATION_DEPTH_LIMIT,
-    cached_poststar,
-    cached_truncations,
     completion,
+    reach_automaton,
+    reachable_truncations,
 )
 from .transformers import apply_set_transformer, cached_transformers, period_iteration
 
@@ -393,7 +393,7 @@ class FiniteComparison:
     automaton: object
 
 
-def bisim_pda_vs_finite(pda, config, lts, state, ctx=None):
+def bisim_pda_vs_finite(pda, config, lts, state):
     """Decide whether a configuration is bisimilar to a finite-system state.
 
     The game depth equals the number of states of the finite system; with
@@ -411,11 +411,10 @@ def bisim_pda_vs_finite(pda, config, lts, state, ctx=None):
             "a finite system with %d states needs depth-%d truncations;"
             " the guardrail is %d" % (level, level, TRUNCATION_DEPTH_LIMIT)
         )
-    aut = cached_poststar(pda, config)
+    aut = reach_automaton(pda, config)
     pda_oracle = PdaOracle(pda)
     fin_oracle = FiniteLtsOracle(lts)
-    if ctx is None:
-        ctx = GameContext(pda_oracle, fin_oracle)
+    ctx = GameContext(pda_oracle, fin_oracle)
     root = eqlevel(pda_oracle, config, fin_oracle, state, level, ctx=ctx)
     if root.is_finite:
         return FiniteComparison(
@@ -430,7 +429,7 @@ def bisim_pda_vs_finite(pda, config, lts, state, ctx=None):
             counterexample=config,
             automaton=aut,
         )
-    truncations = sorted(cached_truncations(aut, level))
+    truncations = sorted(reachable_truncations(aut, level))
     matches = []
     unmatched = []
     for trunc in truncations:

@@ -306,11 +306,6 @@ class NormalizationMap:
     expansions: tuple  # sorted ((symbol, original word), ...)
 
 
-@functools.lru_cache(maxsize=None)
-def cached_normalized(pda):
-    return normalize_rules(pda)
-
-
 def normalize_rules(pda):
     """Rewrite a pda so that every rule pushes at most two symbols.
 

@@ -14,6 +14,11 @@ the style of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000).
 path uses it, so a certificate checker can verify closure independently of
 how the automaton was produced.
 
+``reach_automaton`` normalizes a pda and then saturates.  Nothing here is
+cached: an automaton and the truncation sets read off it live exactly as
+long as the caller that built them (``PositiveSearch`` builds one per
+search and enumerates each truncation depth once).
+
 Naive truncated-graph exploration is unsound here: popping below a truncation
 exposes symbols the truncation never recorded.  The automaton view does not
 lose that information.
@@ -25,7 +30,14 @@ import functools
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError
-from .pda import Config, StackWord, TruncatedConfig, canonicalize, cached_normalized
+from .pda import (
+    Config,
+    StackWord,
+    TruncatedConfig,
+    canonicalize,
+    normalize_rules,
+    validate_config,
+)
 
 EPS = ""
 
@@ -255,7 +267,7 @@ def _saturate(pda, entries, skeleton):
     return edges
 
 
-def poststar(pda, start, norm_map=None, original_alphabet=None):
+def poststar(pda, start, norm_map=None):
     """Saturated automaton of everything reachable from ``start``.
 
     The edges come from one worklist pass (``_saturate``): the least edge set
@@ -272,40 +284,32 @@ def poststar(pda, start, norm_map=None, original_alphabet=None):
     """
     if pda.max_push() > 2:
         raise InputError("pda is not normalized; run normalize_rules first")
-    if start.control not in pda.controls:
-        raise InputError("undeclared control state %r" % (start.control,))
-    for sym in start.stack.symbols_used():
-        if sym not in pda.stack_alphabet:
-            raise InputError("undeclared stack symbol %r" % (sym,))
+    validate_config(pda, start)
 
     (entries, skeleton, finals, live) = initial_skeleton(pda.controls, start)
     edges = _saturate(pda, entries, skeleton)
 
     expansions = norm_map.expansions if norm_map is not None else ()
-    original = original_alphabet
-    if original is None:
-        composite = {sym for (sym, _) in expansions}
-        original = frozenset(pda.stack_alphabet - composite)
+    composite = {sym for (sym, _) in expansions}
     return ConfigAutomaton(
         entries=entries,
         finals=frozenset(finals),
         edges=frozenset(edges),
         expansions=tuple(expansions),
         alphabet=frozenset(pda.stack_alphabet),
-        original_alphabet=frozenset(original),
+        original_alphabet=frozenset(pda.stack_alphabet - composite),
         live=tuple(sorted(live)),
     )
 
 
-@functools.lru_cache(maxsize=None)
-def cached_poststar(pda, start):
+def reach_automaton(pda, start):
     """Reachability automaton from ``start``, normalizing the pda first.
 
-    Cached, so repeated analyses of the same process share the saturation
-    work.  ``start`` is given in original symbols and stays valid after
-    normalization.
+    ``start`` is given in original symbols and stays valid after
+    normalization.  Nothing is cached: a caller that queries one automaton
+    repeatedly keeps it.
     """
-    (norm, mapping) = cached_normalized(pda)
+    (norm, mapping) = normalize_rules(pda)
     return poststar(norm, start, mapping)
 
 
@@ -420,11 +424,6 @@ def reachable_truncations(aut, k):
                     todo.append(nxt)
         found |= per_control
     return found
-
-
-@functools.lru_cache(maxsize=None)
-def cached_truncations(aut, k):
-    return frozenset(reachable_truncations(aut, k))
 
 
 def completion(aut, truncated, depth=None):

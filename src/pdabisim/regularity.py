@@ -30,7 +30,7 @@ from .pda import (
     step,
     validate_config,
 )
-from .reachability import TRUNCATION_DEPTH_LIMIT, cached_poststar, cached_truncations
+from .reachability import TRUNCATION_DEPTH_LIMIT, reach_automaton, reachable_truncations
 from .equivalence import bisim_pda_vs_finite, eqlevel_configs, limit_level_bound
 from .transformers import apply_set_transformer, cached_transformers
 
@@ -326,7 +326,6 @@ class PumpBound:
     cycle_length: int
     limit_controls: tuple
     levels: object          # LevelBound
-    derivation_bound: int
     bound: int
 
 
@@ -335,7 +334,6 @@ def pump_bound(pda, candidate, config=AnalysisConfig()):
     (levels, iteration) = limit_level_bound(
         pda, candidate.control, candidate.symbol, candidate.period, config
     )
-    table = cached_transformers(pda)
     reach = iteration.preperiod + iteration.cycle_length
     return PumpBound(
         control=candidate.control,
@@ -345,7 +343,6 @@ def pump_bound(pda, candidate, config=AnalysisConfig()):
         cycle_length=iteration.cycle_length,
         limit_controls=tuple(sorted(iteration.cycle_set)),
         levels=levels,
-        derivation_bound=table.bound,
         bound=1 + levels.value + reach,
     )
 
@@ -544,6 +541,10 @@ class PositiveSearch:
     system candidate, and the candidate is handed to the exact decision
     procedure.  Only that final gate establishes anything; the stabilization
     heuristic merely proposes.
+
+    The search builds its reachability automaton on the first attempt and
+    keeps it.  Each attempt's depth-(n+1) truncations are the next attempt's
+    depth-n ones, so every depth is enumerated once.
     """
 
     def __init__(self, pda, start, truncation_max=AnalysisConfig.truncation_max):
@@ -552,9 +553,10 @@ class PositiveSearch:
         self.start = start
         self.max_level = min(truncation_max, TRUNCATION_DEPTH_LIMIT - 1)
         self.level = 0
-        self.attempts = 0
         self.oracle = PdaOracle(pda)
         self.ctx = GameContext(self.oracle, self.oracle)
+        self._aut = None
+        self._upper = None      # the last attempt's depth-(n+1) truncations
 
     @property
     def exhausted(self):
@@ -562,23 +564,14 @@ class PositiveSearch:
 
     def _partition(self, truncations, depth):
         classes = []
+        reps = []
         for trunc in sorted(truncations):
-            placed = False
-            for members in classes:
-                rep = members[0]
-                if bounded_bisim(
-                    self.oracle,
-                    trunc.as_config(),
-                    self.oracle,
-                    rep.as_config(),
-                    depth,
-                    ctx=self.ctx,
-                ):
-                    members.append(trunc)
-                    placed = True
-                    break
-            if not placed:
+            i = self._classify(trunc.as_config(), reps, depth)
+            if i is None:
+                reps.append(trunc)
                 classes.append([trunc])
+            else:
+                classes[i].append(trunc)
         return classes
 
     def _classify(self, config, reps, depth):
@@ -599,13 +592,17 @@ class PositiveSearch:
             return None
         self.level += 1
         n = self.level
-        aut = cached_poststar(self.pda, self.start)
+        if self._aut is None:
+            self._aut = reach_automaton(self.pda, self.start)
         try:
-            lower = cached_truncations(aut, n)
-            upper = cached_truncations(aut, n + 1)
+            lower = self._upper
+            if lower is None:
+                lower = reachable_truncations(self._aut, n)
+            upper = reachable_truncations(self._aut, n + 1)
         except BudgetError:
             self.level = self.max_level
             return None
+        self._upper = upper
         low_classes = self._partition(lower, n)
         upp_classes = self._partition(upper, n + 1)
         if len(low_classes) != len(upp_classes):
@@ -638,7 +635,6 @@ class PositiveSearch:
         if j0 is None:
             return None
         candidate = FiniteLts(frozenset(names), self.pda.actions, frozenset(transitions))
-        self.attempts += 1
         try:
             return bisim_pda_vs_finite(self.pda, self.start, candidate, names[j0])
         except BudgetError:

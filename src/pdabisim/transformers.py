@@ -26,9 +26,6 @@ class TransformerTable:
     shortest: tuple     # sorted (((control, symbol, end), steps), ...)
     bound: int
 
-    def steps(self, control, symbol, end):
-        return dict(self.shortest).get((control, symbol, end))
-
     def pop_floors(self):
         """symbol -> fewest steps that pop it, over all start and end controls.
 

@@ -34,8 +34,8 @@ from pdabisim import (
     quotient_finite,
     verify_witness,
 )
-from pdabisim.pda import cached_normalized
-from pdabisim.reachability import cached_poststar
+from pdabisim.pda import normalize_rules
+from pdabisim.reachability import reach_automaton
 
 from oracles import (
     OracleBudget,
@@ -135,7 +135,7 @@ def shared_pool():
         seed += 1
         control = sorted(pda.controls)[0]
         bottom = sorted(pda.stack_alphabet)[0]
-        aut = cached_poststar(pda, fin(control, bottom))
+        aut = reach_automaton(pda, fin(control, bottom))
         if len(_certified_unreachable(pda, aut)) >= 100:
             pool.append(pda)
     _POOL = pool
@@ -261,7 +261,7 @@ def test_criterion_04_membership_agrees_with_explicit_search():
         control = sorted(pda.controls)[0]
         bottom = sorted(pda.stack_alphabet)[0]
         start = fin(control, bottom)
-        aut = cached_poststar(pda, start)
+        aut = reach_automaton(pda, start)
 
         # positive side: everything a bounded explicit search reaches is a member
         explored = bounded_reachable(pda, control, (bottom,), 8, 12)
@@ -273,7 +273,7 @@ def test_criterion_04_membership_agrees_with_explicit_search():
         # negative side: the automaton is independently confirmed to be an
         # invariant (start accepted, closed under every rule), after which
         # path rejection proves unreachability
-        (norm, _) = cached_normalized(pda)
+        (norm, _) = normalize_rules(pda)
         assert automaton_accepts(aut, control, (bottom,))
         assert closure_violations(norm, aut) == []
         probes = _certified_unreachable(pda, aut)

@@ -248,3 +248,48 @@ def test_unpackable_strategy_replies_are_input_errors(counter):
     bad["strategy"]["replies"] = [[1]]
     with pytest.raises(InputError):
         certs.check_document(bad)
+
+
+def _integer_field_documents(counter, counter_start, growing, growing_start):
+    """(document, path to one of its integer fields) for every such field."""
+    apart = eqlevel_configs(counter, fin("p", "X"), fin("p", "A", "X"), cutoff=16)
+    level_zero = certs.eq_level_document(counter, fin("p", "X"), fin("p", "A", "X"), apart)
+    assert level_zero["value"] == 0
+    result = eqlevel_configs(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), cutoff=16)
+    level_one = certs.eq_level_document(
+        counter, fin("p", "A", "X"), fin("p", "A", "A", "X"), result
+    )
+    regular = certs.verdict_document(
+        growing, growing_start, decide_regularity(growing, growing_start)
+    )
+    assert regular["level"] == 1
+    witness = certs.verdict_document(
+        counter, counter_start, decide_regularity(counter, counter_start)
+    )
+    return [
+        (level_zero, ("value",)),
+        (level_one, ("value",)),
+        (level_zero, ("strategy", "side")),
+        (level_one, ("strategy", "side")),
+        (regular, ("level",)),
+        (witness, ("bound",)),
+        (witness, ("base_level",)),
+        (witness, ("budgets", "pump_omega_budget")),
+    ]
+
+
+@pytest.mark.parametrize("spelled", [True, False, 1.0])
+def test_integer_fields_reject_booleans_and_floats(
+    counter, counter_start, growing, growing_start, spelled
+):
+    # JSON true == 1 and false == 0 in Python, so without a type check a
+    # boolean passes for a level or a strategy side
+    for (doc, path) in _integer_field_documents(counter, counter_start, growing, growing_start):
+        assert certs.check_document(doc).ok
+        bad = copy.deepcopy(doc)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = spelled
+        with pytest.raises(InputError):
+            certs.check_document(bad)

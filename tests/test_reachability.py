@@ -20,8 +20,8 @@ from pdabisim import (
 )
 from pdabisim.reachability import (
     TRUNCATION_DEPTH_LIMIT,
-    cached_poststar,
     initial_skeleton,
+    reach_automaton,
     saturation_edges,
 )
 
@@ -112,7 +112,7 @@ def test_skeleton_is_before_saturation(counter):
 
 
 def test_saturation_is_idempotent(counter, counter_start):
-    aut = cached_poststar(counter, counter_start)
+    aut = reach_automaton(counter, counter_start)
     entries = dict(aut.entries)
     fresh = saturation_edges(counter, entries, set(aut.edges))
     assert fresh == set()
@@ -125,7 +125,7 @@ def test_membership_agrees_with_bounded_search():
         control = sorted(pda.controls)[0]
         bottom = sorted(pda.stack_alphabet)[0]
         start = fin(control, bottom)
-        aut = cached_poststar(pda, start)
+        aut = reach_automaton(pda, start)
         explored = bounded_reachable(pda, control, (bottom,), 6, 10)
         for (q, stack) in sorted(explored):
             assert member(aut, fin(q, *stack))
@@ -146,7 +146,7 @@ def test_truncations_match_bounded_search():
         pda = random_pda(rng)
         control = sorted(pda.controls)[0]
         bottom = sorted(pda.stack_alphabet)[0]
-        aut = cached_poststar(pda, fin(control, bottom))
+        aut = reach_automaton(pda, fin(control, bottom))
         got = reachable_truncations(aut, 2)
         explored = bounded_reachable(pda, control, (bottom,), 8, 10)
         seen = {TruncatedConfig(q, stack[:2]) for (q, stack) in explored}

@@ -1,6 +1,8 @@
 """Loop candidates, pump bounds, witnesses and the combined verdict."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from pdabisim import (
     pump_bound,
     verify_witness,
 )
+from pdabisim import regularity
 from pdabisim.regularity import PositiveSearch, pumped_config
 
 from oracles import random_pda
@@ -149,6 +152,41 @@ def test_positive_search_settles_growing(growing, growing_start):
     assert comparison.equivalent
     assert search.level == 1
     assert len(comparison.lts.states) == 1
+
+
+def test_positive_search_enumerates_each_depth_once(monkeypatch, counter, counter_start):
+    built = []
+    depths = []
+    build = regularity.reach_automaton
+    enumerate_depth = regularity.reachable_truncations
+
+    def counting_build(pda, start):
+        built.append(start)
+        return build(pda, start)
+
+    def counting_depth(aut, k):
+        depths.append(k)
+        return enumerate_depth(aut, k)
+
+    monkeypatch.setattr(regularity, "reach_automaton", counting_build)
+    monkeypatch.setattr(regularity, "reachable_truncations", counting_depth)
+    search = PositiveSearch(counter, counter_start)
+    for _ in range(4):
+        assert search.attempt() is None
+    assert built == [counter_start]
+    assert depths == [1, 2, 3, 4, 5]
+
+
+def test_regular_verdict_frees_its_automaton():
+    # nothing process-wide keeps the post* automaton once the verdict goes
+    pda = random_pda(random.Random(2003), 3, 3, 8)
+    start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+    verdict = decide_regularity(pda, start)
+    assert verdict.kind == "regular"
+    automaton = weakref.ref(verdict.certificate.automaton)
+    del verdict
+    gc.collect()
+    assert automaton() is None
 
 
 def test_decide_counter_is_nonregular(counter, counter_start):

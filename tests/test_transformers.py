@@ -17,8 +17,8 @@ from oracles import emptying_search, random_pda, random_stack
 def test_counter_triples(counter):
     table = compute_transformers(counter)
     assert set(table.triples) == {("p", "A", "p")}
-    assert table.steps("p", "A", "p") == 1
-    assert table.steps("p", "X", "p") is None
+    assert dict(table.shortest).get(("p", "A", "p")) == 1
+    assert dict(table.shortest).get(("p", "X", "p")) is None
     assert table.bound == 1
 
 
@@ -32,8 +32,8 @@ def test_growing_has_no_emptying_runs(growing):
 def test_twocycle_triples(twocycle):
     table = compute_transformers(twocycle)
     assert set(table.triples) == {("p", "A", "q"), ("q", "A", "p")}
-    assert table.steps("p", "A", "q") == 1
-    assert table.steps("q", "A", "p") == 1
+    assert dict(table.shortest).get(("p", "A", "q")) == 1
+    assert dict(table.shortest).get(("q", "A", "p")) == 1
 
 
 def test_apply_folds_over_the_word(counter, twocycle):
@@ -90,8 +90,9 @@ def test_triples_match_emptying_search():
                 for (q, d) in emptying_search(pda, p, x, horizon).items():
                     want[(p, x, q)] = d
         assert set(table.triples) == set(want)
+        shortest = dict(table.shortest)
         for (key, d) in sorted(want.items()):
-            assert table.steps(*key) == d
+            assert shortest.get(key) == d
         assert table.bound == max(want.values(), default=0)
 
 
