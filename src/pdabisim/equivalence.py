@@ -378,7 +378,9 @@ class FiniteComparison:
     lists those partners per truncation; a truncation without partners
     refutes equivalence and ``counterexample`` is a reachable configuration
     realizing it.  ``root`` holds the eq-level query between the inputs,
-    bounded by ``level``.
+    bounded by ``level``.  ``automaton`` is the post* automaton the
+    truncations were read off, or None when the root game refuted the pair
+    and no truncation was needed.
     """
 
     equivalent: bool
@@ -400,7 +402,9 @@ def bisim_pda_vs_finite(pda, config, lts, state):
     that depth, agreement of the start pair plus agreement of every
     reachable truncation with some finite state is equivalent to full
     bisimilarity.  Everything the decision rests on is returned so it can be
-    re-checked independently.
+    re-checked independently.  The root game is played first; the post*
+    automaton is built only when it does not separate the pair, so a
+    comparison refuted at its root carries no automaton.
     """
     validate_config(pda, config)
     if state not in lts.states:
@@ -411,7 +415,6 @@ def bisim_pda_vs_finite(pda, config, lts, state):
             "a finite system with %d states needs depth-%d truncations;"
             " the guardrail is %d" % (level, level, TRUNCATION_DEPTH_LIMIT)
         )
-    aut = reach_automaton(pda, config)
     pda_oracle = PdaOracle(pda)
     fin_oracle = FiniteLtsOracle(lts)
     ctx = GameContext(pda_oracle, fin_oracle)
@@ -427,8 +430,9 @@ def bisim_pda_vs_finite(pda, config, lts, state):
             matches=(),
             unmatched=(),
             counterexample=config,
-            automaton=aut,
+            automaton=None,
         )
+    aut = reach_automaton(pda, config)
     truncations = sorted(reachable_truncations(aut, level))
     matches = []
     unmatched = []
@@ -443,7 +447,7 @@ def bisim_pda_vs_finite(pda, config, lts, state):
             matches.append((trunc, partners))
         else:
             unmatched.append(trunc)
-    equivalent = (not root.is_finite) and not unmatched
+    equivalent = not unmatched
     witness = completion(aut, unmatched[0], level) if unmatched else None
     return FiniteComparison(
         equivalent=equivalent,

@@ -208,32 +208,45 @@ def _saturate(pda, entries, skeleton):
     its source; a popped silent edge spreads those controls to its target.
     A control newly reaching a state fires the symbol edges already popped
     there and spreads along the silent ones.
+
+    The edges a firing adds depend only on (control, symbol, target), so
+    each such triple fires once however many sources lead to it.  A rule
+    adds one edge per target: from its target control's entry when it
+    pushes at most one symbol, from its mid state when it pushes two.  A
+    two-symbol push also needs the entry-to-mid edge, which does not depend
+    on the target, so that edge is added once, the first time the rule
+    fires.
     """
     entry = dict(entries)
-    fires = {}
+    fires = {}              # (control, symbol) -> [[head, label, once], ...]
     for (i, rule) in enumerate(pda.rules):
-        fires.setdefault((rule.control, rule.symbol), []).append(
-            (entry[rule.target], rule.push, "r%d" % i)
-        )
-    edges = set()
-    todo = []
-    popped = {}             # state -> [(label, dst), ...] of popped edges
+        (src, push) = (entry[rule.target], rule.push)
+        if len(push) < 2:
+            action = [src, push[0] if push else EPS, None]
+        else:
+            mid = "r%d" % i
+            action = [mid, push[1], (src, push[0], mid)]
+        fires.setdefault((rule.control, rule.symbol), []).append(action)
+    edges = set(skeleton)
+    todo = list(edges)
+    popped = {}             # state -> popped edges out of it
     reach = {s: {q} for (q, s) in entries}
-
-    def add(edge):
-        if edge not in edges:
-            edges.add(edge)
-            todo.append(edge)
+    fired = set()           # (control, symbol, dst) already fired
 
     def fire(control, symbol, dst):
-        for (src, push, mid) in fires.get((control, symbol), ()):
-            if not push:
-                add((src, EPS, dst))
-            elif len(push) == 1:
-                add((src, push[0], dst))
-            else:
-                add((src, push[0], mid))
-                add((mid, push[1], dst))
+        key = (control, symbol, dst)
+        if key in fired:
+            return
+        fired.add(key)
+        for action in fires.get((control, symbol), ()):
+            if action[2] is not None:
+                edges.add(action[2])
+                todo.append(action[2])
+                action[2] = None
+            edge = (action[0], action[1], dst)
+            if edge not in edges:
+                edges.add(edge)
+                todo.append(edge)
 
     def spread(state, controls):
         stack = [(state, controls)]
@@ -244,18 +257,17 @@ def _saturate(pda, entries, skeleton):
             if not new:
                 continue
             have |= new
-            for (label, dst) in popped.get(s, ()):
+            for (_, label, dst) in popped.get(s, ()):
                 if label == EPS:
                     stack.append((dst, new))
                 else:
                     for q in new:
                         fire(q, label, dst)
 
-    for edge in skeleton:
-        add(edge)
     while todo:
-        (src, label, dst) = todo.pop()
-        popped.setdefault(src, []).append((label, dst))
+        edge = todo.pop()
+        (src, label, dst) = edge
+        popped.setdefault(src, []).append(edge)
         controls = reach.get(src)
         if not controls:
             continue
@@ -346,37 +358,28 @@ def member(aut, config):
     return False
 
 
-def _coaccessible(aut):
+def _backward(edges, targets):
+    """States from which some state of ``targets`` is reachable along ``edges``."""
     rev = {}
-    for (src, _, dst) in aut.edges:
-        rev.setdefault(dst, set()).add(src)
-    seen = set(aut.finals) | {s for (s, _) in aut.live}
+    for (src, _, dst) in edges:
+        rev.setdefault(dst, []).append(src)
+    seen = set(targets)
     todo = list(seen)
     while todo:
-        s = todo.pop()
-        for p in rev.get(s, ()):
+        for p in rev.get(todo.pop(), ()):
             if p not in seen:
                 seen.add(p)
                 todo.append(p)
     return seen
 
 
-def _eps_final(aut):
-    """States from which a final state is silently reachable."""
-    adj = aut.adjacency()
-    out = set()
-    for s in aut.states():
-        closure = _eps_closure(adj, {s})
-        if closure & aut.finals:
-            out.add(s)
-    return out
-
-
 def reachable_truncations(aut, k):
     """Exactly { truncate(c, k) : c reachable }, in original symbols.
 
-    Depth is capped at 12 and the enumeration at |alphabet|^k entries per
-    control; both violations raise BudgetError.
+    At k = 0 that is (q, ()) for every control q reachable with any stack,
+    the empty one included.  Depth is capped at 12 and the enumeration at
+    |alphabet|^k depth-k cuts per control; both violations raise
+    BudgetError.
     """
     if k < 0:
         raise InputError("truncation depth must be >= 0, got %r" % (k,))
@@ -386,44 +389,50 @@ def reachable_truncations(aut, k):
             % (k, TRUNCATION_DEPTH_LIMIT)
         )
     cap = max(1, len(aut.original_alphabet)) ** k
-    adj = aut.adjacency()
-    coacc = _coaccessible(aut)
-    eps_final = _eps_final(aut)
-    found = set()
+    coacc = _backward(aut.edges, aut.finals | {s for (s, _) in aut.live})
+    adj = {}
+    for (src, label, dst) in sorted(aut.edges):
+        if dst in coacc:
+            word = aut.flatten(label) if label != EPS else ()
+            adj.setdefault(src, []).append((dst, word))
+    eps_final = _backward([e for e in aut.edges if e[1] == EPS], aut.finals)
+    words = []              # (control, whole stacks shorter than k, depth-k cuts)
     for (control, start) in aut.entries:
-        per_control = set()
-        full_depth = 0
+        whole = set()
+        cuts = set()
+        words.append((control, whole, cuts))
         todo = [(start, ())]
         seen = {(start, ())}
         while todo:
             (state, prefix) = todo.pop()
-            if len(prefix) < k and state in eps_final:
-                per_control.add(TruncatedConfig(control, prefix))
-            for (label, dst) in adj.get(state, ()):
-                if dst not in coacc:
+            if state in eps_final:
+                whole.add(prefix)
+            for (dst, word) in adj.get(state, ()):
+                grown = prefix + word
+                if len(grown) >= k:
+                    cut = grown[:k]
+                    if cut not in cuts:
+                        cuts.add(cut)
+                        if len(cuts) > cap:
+                            raise BudgetError(
+                                "more than %d depth-%d truncations for control %r"
+                                % (cap, k, control),
+                                partial=_truncated(words),
+                            )
                     continue
-                if label == EPS:
-                    nxt = (dst, prefix)
-                else:
-                    grown = prefix + aut.flatten(label)
-                    if len(grown) >= k:
-                        cut = TruncatedConfig(control, grown[:k])
-                        if cut not in per_control:
-                            per_control.add(cut)
-                            full_depth += 1
-                            if full_depth > cap:
-                                raise BudgetError(
-                                    "more than %d depth-%d truncations for control %r"
-                                    % (cap, k, control),
-                                    partial=found | per_control,
-                                )
-                        continue
-                    nxt = (dst, grown)
+                nxt = (dst, grown)
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
-        found |= per_control
-    return found
+    return _truncated(words)
+
+
+def _truncated(words):
+    return {
+        TruncatedConfig(control, prefix)
+        for (control, whole, cuts) in words
+        for prefix in whole | cuts
+    }
 
 
 def completion(aut, truncated, depth=None):

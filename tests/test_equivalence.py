@@ -22,8 +22,10 @@ from pdabisim import (
     check_coverage,
     eqlevel,
     eqlevel_configs,
+    certs,
     limit_level_bound,
 )
+from pdabisim import equivalence
 from pdabisim.equivalence import absorb_dead_tail
 
 from oracles import OracleBudget, game_eqlevel, random_pda, random_stack
@@ -149,7 +151,20 @@ def test_limit_level_bound_on_counter(counter):
     assert iteration.cycle_length == 1
 
 
-def test_growing_matches_one_state_loop(growing):
+def count_automata(monkeypatch):
+    built = []
+    original = equivalence.reach_automaton
+
+    def counting(pda, start):
+        built.append(start)
+        return original(pda, start)
+
+    monkeypatch.setattr(equivalence, "reach_automaton", counting)
+    return built
+
+
+def test_growing_matches_one_state_loop(growing, monkeypatch):
+    built = count_automata(monkeypatch)
     loop = FiniteLts(
         frozenset(["v"]),
         frozenset(["a", "b"]),
@@ -161,9 +176,13 @@ def test_growing_matches_one_state_loop(growing):
     assert got.root.kind == "at_least"
     assert got.matches
     assert not got.unmatched
+    assert built == [fin("p", "X")] and got.automaton is not None
+    doc = certs.comparison_document(growing, got)
+    assert certs.check_document(certs.loads(certs.dumps(doc))).ok
 
 
-def test_counter_rejected_at_the_root(counter):
+def test_counter_rejected_at_the_root(counter, monkeypatch):
+    built = count_automata(monkeypatch)
     loop = FiniteLts(
         frozenset(["v"]),
         frozenset(["a", "b"]),
@@ -174,6 +193,10 @@ def test_counter_rejected_at_the_root(counter):
     assert (got.root.kind, got.root.value) == ("finite", 0)
     assert got.counterexample == fin("p", "X")
     assert got.matches == ()
+    # refuted at the root: no truncation is needed, so no automaton is built
+    assert built == [] and got.automaton is None
+    doc = certs.comparison_root_document(counter, got)
+    assert certs.check_document(certs.loads(certs.dumps(doc))).ok
 
 
 def test_counter_rejected_by_truncation_sweep(counter):

@@ -8,6 +8,8 @@ from pdabisim import (
     BudgetError,
     Config,
     InputError,
+    Pda,
+    Rule,
     StackWord,
     TruncatedConfig,
     certs,
@@ -28,6 +30,7 @@ from pdabisim.reachability import (
 from oracles import (
     bounded_reachable,
     closure_violations,
+    exact_reachable,
     prefix_reachable,
     prefix_unreachable,
     random_pda,
@@ -153,6 +156,41 @@ def test_truncations_match_bounded_search():
         assert seen <= got
         for trunc in got:
             assert completion(aut, trunc, depth=2) is not None
+
+
+def test_depth_zero_keeps_controls_reached_with_an_empty_stack():
+    pda = Pda(
+        controls=frozenset(["p", "q"]),
+        stack_alphabet=frozenset(["A"]),
+        actions=frozenset(["a"]),
+        rules=(Rule("p", "A", "a", "q", ()),),
+    )
+    aut = reach_automaton(pda, fin("p", "A"))
+    assert reachable_truncations(aut, 0) == {
+        TruncatedConfig("p", ()),
+        TruncatedConfig("q", ()),
+    }
+
+
+def test_truncations_equal_the_exact_reachable_set():
+    checked = 0
+    composite_edges = 0
+    for seed in range(400):
+        pda = random_pda(random.Random(seed), 3, 3, 8)
+        control = sorted(pda.controls)[0]
+        bottom = sorted(pda.stack_alphabet)[0]
+        (reached, complete) = exact_reachable(pda, control, (bottom,), 12, 200)
+        if not complete:
+            continue
+        checked += 1
+        aut = reach_automaton(pda, fin(control, bottom))
+        composite = {sym for (sym, _) in aut.expansions}
+        composite_edges += sum(label in composite for (_, label, _) in aut.edges)
+        for k in range(5):
+            want = {TruncatedConfig(q, stack[:k]) for (q, stack) in reached}
+            assert reachable_truncations(aut, k) == want, (seed, k)
+    assert checked > 100
+    assert composite_edges > 0
 
 
 def naive_fixpoint(pda, start):
