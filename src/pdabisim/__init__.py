@@ -48,6 +48,7 @@ from .equivalence import (
 from .regularity import (
     LoopCandidate,
     NonRegularityEvidence,
+    NormedEvidence,
     PumpBound,
     StairSearch,
     Verdict,
@@ -74,6 +75,7 @@ __all__ = [
     "InputError",
     "LoopCandidate",
     "NonRegularityEvidence",
+    "NormedEvidence",
     "Pda",
     "PdaOracle",
     "PumpBound",

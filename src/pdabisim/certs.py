@@ -4,7 +4,7 @@ Every analysis that claims something beyond a bounded search can emit a
 self-contained document: the process, the configurations involved, and the
 evidence.  ``check_document`` re-verifies a document from its own content,
 recomputing successors and games rather than trusting anything the producer
-stored.  The four kinds:
+stored.  The five kinds:
 
 * "finite-level": a winning attacker strategy showing two states apart at
   exactly the claimed level;
@@ -13,7 +13,21 @@ stored.  The four kinds:
 * "regular": a finite system, a matching level, and a reachability automaton
   whose closure certifies that a configuration is bisimilar to a state;
 * "witness": a pumping witness whose replay and separation levels certify
-  that no finite system is bisimilar to the start configuration.
+  that no finite system is bisimilar to the start configuration;
+* "normed-witness": a stack-growing loop from a finite start, plus one
+  emptying rule sequence per (control, symbol) pair, certifying the same
+  by the norm (the distance to a dead configuration).
+
+The "normed-witness" argument: replaying the sequences shows that every
+pair can pop its symbol, so a configuration with a finite stack is dead
+exactly when its stack is empty, and its norm is finite and at least its
+stack length, since one move pops at most one symbol.  Replaying the
+access and loop rules shows that (control, symbol period^m tail) is
+reachable for every m, with a non-empty period, so reachable norms are
+unbounded.  Bisimilar configurations have equal norms, and the
+configurations reachable from a finite system's state take finitely many
+norms, so no finite state is bisimilar to the start.  The checker replays
+rules only: it runs no game and computes no transformer table.
 """
 
 from __future__ import annotations
@@ -41,7 +55,14 @@ from .reachability import (
     saturation_edges,
 )
 from .equivalence import BisimCertificate, check_coverage
-from .regularity import LoopCandidate, build_witness, pump_bound, verify_witness
+from .regularity import (
+    LoopCandidate,
+    NormedEvidence,
+    _replay,
+    build_witness,
+    pump_bound,
+    verify_witness,
+)
 
 FORMAT = 1
 
@@ -410,10 +431,33 @@ def witness_document(pda, start, evidence, config):
     }
 
 
+def normed_document(pda, start, evidence):
+    """Certificate document for a non-regularity verdict decided by the norm."""
+    loop = evidence.loop
+    return {
+        "format": FORMAT,
+        "kind": "normed-witness",
+        "pda": pda_doc(pda),
+        "start": config_doc(start),
+        "control": loop.control,
+        "symbol": loop.symbol,
+        "period": list(loop.period),
+        "tail": stack_doc(loop.tail),
+        "loop_rules": [rule_doc(r) for r in loop.v_rules],
+        "access_rules": [rule_doc(r) for r in loop.w_rules],
+        "emptying": [
+            {"control": p, "symbol": x, "rules": [rule_doc(r) for r in rules]}
+            for ((p, x), rules) in evidence.emptying
+        ],
+    }
+
+
 def verdict_document(pda, start, verdict, config=AnalysisConfig()):
     """Certificate document for a definite regularity verdict reached under ``config``."""
     if verdict.kind == "regular":
         return comparison_document(pda, verdict.certificate)
+    if verdict.kind == "nonregular" and isinstance(verdict.certificate, NormedEvidence):
+        return normed_document(pda, start, verdict.certificate)
     if verdict.kind == "nonregular":
         return witness_document(pda, start, verdict.certificate, config)
     raise InputError("an unknown verdict certifies nothing")
@@ -558,6 +602,79 @@ def _check_witness(doc):
     return CheckResult(True, "witness", check.reason)
 
 
+def _replay_to(pda, config, rules, what, expected):
+    """Why ``rules`` do not replay from ``config`` to ``expected``; None if they do."""
+    try:
+        reached = _replay(pda, config, rules, what)
+    except InputError as exc:
+        return str(exc)
+    if reached != expected:
+        return "%s ends at %s, expected %s" % (what, reached.format(), expected.format())
+    return None
+
+
+def _check_normed(doc):
+    pda = pda_from(doc["pda"])
+    start = config_from(doc["start"])
+    validate_config(pda, start)
+    control = doc["control"]
+    symbol = doc["symbol"]
+    period = word_from(doc["period"])
+    tail = stack_from(doc["tail"])
+    loop_rules = tuple(rule_from(r) for r in doc["loop_rules"])
+    access_rules = tuple(rule_from(r) for r in doc["access_rules"])
+    emptying = {}
+    for entry in doc["emptying"]:
+        pair = (entry["control"], entry["symbol"])
+        if pair in emptying:
+            raise InputError("the emptying of %s %s is given twice" % pair)
+        emptying[pair] = tuple(rule_from(r) for r in entry["rules"])
+
+    def failed(detail):
+        return CheckResult(False, "normed-witness", detail)
+
+    if start.stack.period:
+        return failed("the start stack is periodic, so no configuration has a finite norm")
+    if not period:
+        return failed("the loop period is empty, so the loop does not grow the stack")
+    problem = _replay_to(
+        pda, start, access_rules, "the access path", Config(control, tail.push((symbol,)))
+    )
+    if problem is None:
+        problem = _replay_to(
+            pda,
+            Config(control, StackWord.finite((symbol,))),
+            loop_rules,
+            "the loop body",
+            Config(control, StackWord.finite((symbol,) + period)),
+        )
+    if problem is not None:
+        return failed(problem)
+    pairs = [(p, x) for p in sorted(pda.controls) for x in sorted(pda.stack_alphabet)]
+    for (p, x) in pairs:
+        if (p, x) not in emptying:
+            return failed("no emptying sequence for control %s and symbol %s" % (p, x))
+        try:
+            emptied = _replay(
+                pda, Config(p, StackWord.finite((x,))), emptying[(p, x)], "an emptying sequence"
+            )
+        except InputError as exc:
+            return failed(str(exc))
+        if emptied.stack.prefix:
+            return failed(
+                "the emptying sequence of %s %s ends at %s, not at an empty stack"
+                % (p, x, emptied.format())
+            )
+    if len(emptying) != len(pairs):
+        return failed("an emptying sequence names a pair the process does not have")
+    return CheckResult(
+        True,
+        "normed-witness",
+        "all %d (control, symbol) pairs empty, and the loop grows the stack by %d per"
+        " turn, so reachable norms are unbounded" % (len(pairs), len(period)),
+    )
+
+
 def check_document(doc):
     """Re-verify a certificate document from its own content.
 
@@ -569,6 +686,7 @@ def check_document(doc):
         "bisimulation": _check_bisimulation,
         "regular": _check_regular,
         "witness": _check_witness,
+        "normed-witness": _check_normed,
     }
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in checks:

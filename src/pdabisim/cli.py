@@ -25,7 +25,7 @@ from .errors import BudgetError, InputError
 from .lts import FiniteLts, quotient_finite
 from .pda import Config, Pda, Rule, StackWord, canonicalize, validate_config
 from .reachability import reach_automaton
-from .regularity import decide_regularity, verify_witness
+from .regularity import NormedEvidence, decide_regularity, verify_witness
 
 
 def _section(line, name):
@@ -307,8 +307,30 @@ def cmd_regcheck(args, out):
         lines.append("exactness: %s" % (verdict.exactness,))
     if verdict.winner is not None:
         lines.append("winner: %s" % (verdict.winner,))
-    cert_doc = None
-    if verdict.kind == "nonregular":
+    if isinstance(verdict.certificate, NormedEvidence):
+        loop = verdict.certificate.loop
+        emptying = sum(len(rules) for (_, rules) in verdict.certificate.emptying)
+        lines.append(
+            "route: norm (every control and symbol can pop, and the loop grows the stack)"
+        )
+        lines.append("loop control: %s" % (loop.control,))
+        lines.append("loop top: %s" % (loop.symbol,))
+        lines.append("loop period: %s" % (" ".join(loop.period),))
+        lines.append("loop tail: %s" % (loop.tail.format(),))
+        lines.append("access rules: %s" % ("; ".join(r.format() for r in loop.w_rules),))
+        lines.append("loop rules: %s" % ("; ".join(r.format() for r in loop.v_rules),))
+        lines.append("emptying rules: %d" % (emptying,))
+        report["route"] = "norm"
+        report["loop"] = {
+            "control": loop.control,
+            "top": loop.symbol,
+            "period": list(loop.period),
+            "tail": loop.tail.format(),
+            "access_rules": [r.format() for r in loop.w_rules],
+            "loop_rules": [r.format() for r in loop.v_rules],
+            "emptying_rules": emptying,
+        }
+    elif verdict.kind == "nonregular":
         witness = verdict.certificate.witness
         check = verdict.certificate.check
         lines.append("witness control: %s" % (witness.control,))
@@ -333,7 +355,6 @@ def cmd_regcheck(args, out):
                 for (copies, r) in check.corroboration
             ],
         }
-        cert_doc = certs.witness_document(pda, start, verdict.certificate, settings)
     elif verdict.kind == "regular":
         comparison = verdict.certificate
         lines.append("state: %s" % (comparison.finite_state,))
@@ -346,7 +367,9 @@ def cmd_regcheck(args, out):
             "level": comparison.level,
             "lts": certs.lts_doc(comparison.lts),
         }
-        cert_doc = certs.comparison_document(pda, comparison)
+    cert_doc = None
+    if verdict.kind != "unknown":
+        cert_doc = certs.verdict_document(pda, start, verdict, settings)
     for (key, value) in verdict.stats:
         lines.append("stat %s: %s" % (key, value))
     _write_cert(args, cert_doc, lines, report)
@@ -471,6 +494,11 @@ def cmd_poststar(args, out):
 
 def cmd_witness_verify(args, out):
     doc = certs.loads(_read(args.cert))
+    if doc.get("kind") == "normed-witness":
+        raise InputError(
+            "a normed-witness document rests on the norm, not on pump games;"
+            " check it with certcheck"
+        )
     (pda, start, witness, config) = certs.witness_from_document(doc)
     check = verify_witness(pda, witness, config)
     lines = [
@@ -530,7 +558,7 @@ _BUDGET_FLAGS = {
     "cutoff": "eq-level game cutoff",
     "omega_budget": "bisimulation search budget; 0 turns the search off",
     "truncation_max": "deepest truncation level tried; 0 turns the positive search off",
-    "path_budget": "loop-path exploration budget",
+    "path_budget": "loop-path exploration budget, and the emptying rules of a normed witness",
     "candidate_budget": "witness candidates tried",
 }
 

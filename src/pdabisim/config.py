@@ -15,7 +15,8 @@ class AnalysisConfig:
     cutoff bounds eq-level games, omega_budget bounds bisimulation-relation
     search (0 turns it off), truncation_max bounds the positive side's depth
     ladder (0 turns the positive search off), path_budget bounds loop-path
-    exploration, candidate_budget the number of witnesses tried, and
+    exploration and the total length of a normed witness's emptying
+    sequences, candidate_budget the number of witnesses tried, and
     region_cap the states explored around a pump limit.  The pump argument
     runs its relation searches with the derived ``pump_omega_budget``.  A
     non-regularity witness document stores cutoff, omega_budget and

@@ -406,6 +406,15 @@ def bisim_pda_vs_finite(pda, config, lts, state):
     automaton is built only when it does not separate the pair, so a
     comparison refuted at its root carries no automaton.
     """
+    return _compare_with_finite(pda, config, lts, state, None)
+
+
+def _compare_with_finite(pda, config, lts, state, aut):
+    """``bisim_pda_vs_finite``, reading the truncations off ``aut`` if given.
+
+    ``aut`` must be ``reach_automaton(pda, config)``; a caller that already
+    holds it saves the rebuild.
+    """
     validate_config(pda, config)
     if state not in lts.states:
         raise InputError("unknown state %r" % (state,))
@@ -432,7 +441,8 @@ def bisim_pda_vs_finite(pda, config, lts, state):
             counterexample=config,
             automaton=None,
         )
-    aut = reach_automaton(pda, config)
+    if aut is None:
+        aut = reach_automaton(pda, config)
     truncations = sorted(reachable_truncations(aut, level))
     matches = []
     unmatched = []

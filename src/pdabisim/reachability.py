@@ -377,9 +377,7 @@ def reachable_truncations(aut, k):
     """Exactly { truncate(c, k) : c reachable }, in original symbols.
 
     At k = 0 that is (q, ()) for every control q reachable with any stack,
-    the empty one included.  Depth is capped at 12 and the enumeration at
-    |alphabet|^k depth-k cuts per control; both violations raise
-    BudgetError.
+    the empty one included.  A depth past 12 raises BudgetError.
     """
     if k < 0:
         raise InputError("truncation depth must be >= 0, got %r" % (k,))
@@ -388,7 +386,6 @@ def reachable_truncations(aut, k):
             "truncation depth %d exceeds the guardrail of %d"
             % (k, TRUNCATION_DEPTH_LIMIT)
         )
-    cap = max(1, len(aut.original_alphabet)) ** k
     coacc = _backward(aut.edges, aut.finals | {s for (s, _) in aut.live})
     adj = {}
     for (src, label, dst) in sorted(aut.edges):
@@ -396,11 +393,10 @@ def reachable_truncations(aut, k):
             word = aut.flatten(label) if label != EPS else ()
             adj.setdefault(src, []).append((dst, word))
     eps_final = _backward([e for e in aut.edges if e[1] == EPS], aut.finals)
-    words = []              # (control, whole stacks shorter than k, depth-k cuts)
+    found = set()
     for (control, start) in aut.entries:
-        whole = set()
-        cuts = set()
-        words.append((control, whole, cuts))
+        whole = set()           # whole stacks shorter than k
+        cuts = set()            # depth-k cuts
         todo = [(start, ())]
         seen = {(start, ())}
         while todo:
@@ -410,29 +406,14 @@ def reachable_truncations(aut, k):
             for (dst, word) in adj.get(state, ()):
                 grown = prefix + word
                 if len(grown) >= k:
-                    cut = grown[:k]
-                    if cut not in cuts:
-                        cuts.add(cut)
-                        if len(cuts) > cap:
-                            raise BudgetError(
-                                "more than %d depth-%d truncations for control %r"
-                                % (cap, k, control),
-                                partial=_truncated(words),
-                            )
+                    cuts.add(grown[:k])
                     continue
                 nxt = (dst, grown)
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
-    return _truncated(words)
-
-
-def _truncated(words):
-    return {
-        TruncatedConfig(control, prefix)
-        for (control, whole, cuts) in words
-        for prefix in whole | cuts
-    }
+        found.update(TruncatedConfig(control, prefix) for prefix in whole | cuts)
+    return found
 
 
 def completion(aut, truncated, depth=None):

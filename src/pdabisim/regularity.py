@@ -1,6 +1,16 @@
 """Deciding whether a pushdown configuration behaves like a finite system.
 
-Two semidecision procedures run against each other:
+A fully normed process, one where every (control, symbol) pair can pop its
+symbol, is decided by its norm alone.  From a finite stack its dead
+configurations are exactly those with an empty stack, and each
+configuration's norm (its distance to a dead one) is finite and at least
+its stack length.  Bisimilar configurations have equal norms, so a
+stack-growing loop reaches configurations of unboundedly many norms, which
+no finite system can match.  The first loop candidate settles such a
+process, with no game and no cutoff.
+
+Every other process goes to two semidecision procedures run against each
+other:
 
 * the negative side walks rule paths looking for stack-growing loops, turns
   each loop into a pumping witness with a computed separation bound, and
@@ -31,7 +41,12 @@ from .pda import (
     validate_config,
 )
 from .reachability import TRUNCATION_DEPTH_LIMIT, reach_automaton, reachable_truncations
-from .equivalence import bisim_pda_vs_finite, eqlevel_configs, limit_level_bound
+from .equivalence import (
+    _compare_with_finite,
+    bisim_pda_vs_finite,
+    eqlevel_configs,
+    limit_level_bound,
+)
 from .transformers import apply_set_transformer, cached_transformers
 
 
@@ -636,7 +651,9 @@ class PositiveSearch:
             return None
         candidate = FiniteLts(frozenset(names), self.pda.actions, frozenset(transitions))
         try:
-            return bisim_pda_vs_finite(self.pda, self.start, candidate, names[j0])
+            return _compare_with_finite(
+                self.pda, self.start, candidate, names[j0], self._aut
+            )
         except BudgetError:
             return None
 
@@ -650,14 +667,90 @@ class NonRegularityEvidence:
 
 
 @dataclass(frozen=True)
+class NormedEvidence:
+    """A stack-growing loop of a fully normed process, and the proof of normedness.
+
+    ``loop`` is the loop candidate: its access rules reach (control, symbol
+    tail) from a finite start, and its loop rules turn (control, [symbol])
+    into (control, [symbol] + period).  ``emptying`` holds one rule sequence
+    per (control, symbol) pair, in sorted order, that takes (control,
+    [symbol]) to an empty stack.  Together they prove the pumped
+    configurations reachable and their norms unbounded.
+    """
+
+    loop: LoopCandidate
+    emptying: tuple     # (((control, symbol), rules), ...)
+
+
+def _cheapest_rule(pda, dist, control, symbol, end):
+    """(rule, triples) realizing the shortest emptying (control, symbol, end).
+
+    The rule starts the derivation; popping its push word passes through
+    the (control, symbol, end) triples, each strictly cheaper.  ``dist``
+    is a least fixpoint, so some rule meets the cost exactly.
+    """
+    cost = dist[(control, symbol, end)]
+    for rule in pda.rules:
+        if rule.control != control or rule.symbol != symbol:
+            continue
+        layer = {rule.target: (0, ())}
+        for sym in rule.push:
+            nxt = {}
+            for (p, (spent, path)) in sorted(layer.items()):
+                for q in sorted(pda.controls):
+                    d = dist.get((p, sym, q))
+                    if d is not None and (q not in nxt or spent + d < nxt[q][0]):
+                        nxt[q] = (spent + d, path + ((p, sym, q),))
+            layer = nxt
+        if layer.get(end, (None,))[0] == cost - 1:
+            return (rule, layer[end][1])
+    raise AssertionError("no rule realizes the emptying cost of %r" % ((control, symbol, end),))
+
+
+def _emptying_rules(pda, dist, control, symbol, end):
+    """A shortest rule sequence from (control, [symbol]) to (end, [])."""
+    rules = []
+    todo = [(control, symbol, end)]
+    while todo:
+        (rule, triples) = _cheapest_rule(pda, dist, *todo.pop())
+        rules.append(rule)
+        todo.extend(reversed(triples))
+    return tuple(rules)
+
+
+def emptying_sequences(pda, limit):
+    """One shortest emptying rule sequence per (control, symbol) pair.
+
+    None when some pair cannot pop its symbol (the process is not fully
+    normed) or when the sequences would hold more than ``limit`` rules in
+    all.
+    """
+    table = cached_transformers(pda)
+    dist = dict(table.shortest)
+    cheapest = {}
+    for ((p, x, q), steps) in table.shortest:
+        if (p, x) not in cheapest or steps < cheapest[(p, x)][0]:
+            cheapest[(p, x)] = (steps, q)
+    pairs = [(p, x) for p in sorted(pda.controls) for x in sorted(pda.stack_alphabet)]
+    if any(pair not in cheapest for pair in pairs):
+        return None
+    if sum(cheapest[pair][0] for pair in pairs) > limit:
+        return None
+    return tuple(
+        ((p, x), _emptying_rules(pda, dist, p, x, cheapest[(p, x)][1])) for (p, x) in pairs
+    )
+
+
+@dataclass(frozen=True)
 class Verdict:
     """The outcome of the regularity analysis.
 
     kind is "regular", "nonregular" or "unknown".  For "nonregular",
-    ``exactness`` qualifies the verdict: "certified" rests on exact bounds
-    and corroborated growth, "modulo-cutoff" additionally trusts that the
-    configured cutoffs were large enough.  ``certificate`` carries a
-    FiniteComparison (regular) or NonRegularityEvidence (nonregular).
+    ``exactness`` qualifies the verdict: "certified" rests on the norm
+    argument or on exact bounds and corroborated growth, "modulo-cutoff"
+    additionally trusts that the configured cutoffs were large enough.
+    ``certificate`` carries a FiniteComparison (regular), or a
+    NormedEvidence or NonRegularityEvidence (nonregular).
     """
 
     kind: str
@@ -670,11 +763,17 @@ class Verdict:
 def decide_regularity(pda, start, config=AnalysisConfig()):
     """Decide (semidecide, in general) regularity of a configuration.
 
-    Runs the negative and positive procedures in a deterministic round-robin
-    (a fixed number of witness candidates per positive level) and returns
-    the first verdict either one establishes.  When both sides exhaust
-    their budgets (all taken from ``config``) the verdict is honestly
-    "unknown" with the search statistics attached.
+    A fully normed process with a finite start stack is decided by the
+    norm: its first loop candidate, which grows the stack, makes it
+    "nonregular"/"certified" with NormedEvidence, and no pump game runs.
+    The route is skipped when the emptying sequences of that evidence would
+    hold more than ``config.path_budget`` rules.
+
+    Otherwise runs the negative and positive procedures in a deterministic
+    round-robin (a fixed number of witness candidates per positive level)
+    and returns the first verdict either one establishes.  When both sides
+    exhaust their budgets (all taken from ``config``) the verdict is
+    honestly "unknown" with the search statistics attached.
     """
     validate_config(pda, start)
     if not step(pda, start):
@@ -701,6 +800,18 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
             ("path-nodes", search.nodes),
             ("positive-levels", positive.level),
         )
+
+    emptying = None
+    if not start.stack.period:
+        emptying = emptying_sequences(pda, config.path_budget)
+    if emptying is not None:
+        # every candidate's loop grows the stack: its period is non-empty
+        candidate = next(candidates, None)
+        if candidate is not None:
+            examined = 1
+            evidence = NormedEvidence(candidate, emptying)
+            return Verdict("nonregular", "certified", "negative", evidence, stats())
+        negative_done = True
 
     while True:
         if not negative_done:

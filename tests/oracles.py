@@ -341,6 +341,43 @@ def emptying_search(pda, control, symbol, horizon):
     return found
 
 
+def norm(pda, config, limit):
+    """Fewest moves from ``config`` to a configuration without moves, by BFS.
+
+    ``config`` is a (control, stack tuple) pair.  Returns None when no such
+    configuration is within ``limit`` moves.  A move pops at most one
+    symbol, so a stack needs at least as many moves as it has symbols above
+    its first one that some control has no rule for; configurations that
+    cannot finish within ``limit`` that way are pruned, which keeps the
+    search small without losing any answer within the limit.
+    """
+    movable = {(r.control, r.symbol) for r in pda.rules}
+    stuck = {x for x in pda.stack_alphabet for p in pda.controls if (p, x) not in movable}
+
+    def floor(stack):
+        for (i, x) in enumerate(stack):
+            if x in stuck:
+                return i
+        return len(stack)
+
+    if floor(config[1]) > limit:
+        return None
+    seen = {config}
+    frontier = [config]
+    for depth in range(limit + 1):
+        fresh = []
+        for state in frontier:
+            moves = pda_moves(pda, state[0], state[1])
+            if not moves:
+                return depth
+            for (_, succ) in moves:
+                if succ not in seen and depth + 1 + floor(succ[1]) <= limit:
+                    seen.add(succ)
+                    fresh.append(succ)
+        frontier = fresh
+    return None
+
+
 # ---------------------------------------------------------------------------
 # seeded generators
 

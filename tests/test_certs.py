@@ -1,6 +1,7 @@
 """Certificate documents: emission, independent checking, tamper detection."""
 
 import copy
+import random
 
 import pytest
 
@@ -17,6 +18,9 @@ from pdabisim import (
     eqlevel_configs,
 )
 from pdabisim import certs
+from pdabisim.regularity import NormedEvidence
+
+from oracles import emptying_search, norm, random_pda
 
 
 def fin(control, *symbols):
@@ -293,3 +297,127 @@ def test_integer_fields_reject_booleans_and_floats(
         node[path[-1]] = spelled
         with pytest.raises(InputError):
             certs.check_document(bad)
+
+
+def normed_pda():
+    """Every control can pop every symbol, and p's A-loop grows the stack."""
+    return Pda(
+        controls=frozenset(["p", "q"]),
+        stack_alphabet=frozenset(["X", "A"]),
+        actions=frozenset(["a", "b"]),
+        rules=(
+            Rule("p", "X", "a", "p", ("A", "X")),
+            Rule("p", "X", "b", "p", ()),
+            Rule("p", "A", "a", "p", ("A", "A")),
+            Rule("p", "A", "b", "q", ()),
+            Rule("q", "X", "a", "p", ("A", "A", "X")),
+            Rule("q", "X", "b", "q", ()),
+            Rule("q", "A", "b", "q", ()),
+        ),
+    )
+
+
+def normed_document():
+    pda = normed_pda()
+    verdict = decide_regularity(pda, fin("p", "X"))
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    assert isinstance(verdict.certificate, NormedEvidence)
+    return certs.verdict_document(pda, fin("p", "X"), verdict)
+
+
+def test_normed_document_checks():
+    doc = normed_document()
+    assert doc["kind"] == "normed-witness"
+    assert (doc["control"], doc["symbol"], doc["period"]) == ("p", "A", ["A"])
+    assert [(e["control"], e["symbol"]) for e in doc["emptying"]] == [
+        ("p", "A"), ("p", "X"), ("q", "A"), ("q", "X"),
+    ]
+    got = certs.check_document(certs.loads(certs.dumps(doc)))
+    assert got.ok, got.detail
+
+
+def _rejects(doc, why):
+    got = certs.check_document(doc)
+    assert not got.ok
+    assert why in got.detail, got.detail
+
+
+def test_normed_document_rejects_a_wrong_emptying_sequence():
+    doc = normed_document()
+    entry = next(e for e in doc["emptying"] if (e["control"], e["symbol"]) == ("p", "X"))
+    # p X -> p A X -> q X: it replays, but X is still on the stack
+    entry["rules"] = [
+        certs.rule_doc(Rule("p", "X", "a", "p", ("A", "X"))),
+        certs.rule_doc(Rule("p", "A", "b", "q", ())),
+    ]
+    _rejects(doc, "not at an empty stack")
+
+
+def test_normed_document_rejects_a_missing_pair():
+    doc = normed_document()
+    doc["emptying"] = [
+        e for e in doc["emptying"] if (e["control"], e["symbol"]) != ("q", "A")
+    ]
+    _rejects(doc, "no emptying sequence for control q and symbol A")
+
+
+def test_normed_document_rejects_a_loop_that_reads_below_its_top():
+    doc = normed_document()
+    # from p [A X] these reach p [A A X], but only by popping A and reading X
+    doc["loop_rules"] = [
+        certs.rule_doc(Rule("p", "A", "b", "q", ())),
+        certs.rule_doc(Rule("q", "X", "a", "p", ("A", "A", "X"))),
+    ]
+    _rejects(doc, "the loop body")
+
+
+def test_normed_document_rejects_a_periodic_start():
+    doc = normed_document()
+    doc["start"]["stack"]["period"] = ["A"]
+    _rejects(doc, "periodic")
+
+
+def test_normed_document_rejects_a_rule_the_process_does_not_have():
+    doc = normed_document()
+    doc["access_rules"][0]["action"] = "b"
+    _rejects(doc, "a rule the process does not have")
+
+
+def test_normed_evidence_matches_the_brute_force_norm():
+    # each emptying sequence is a shortest way to a dead configuration, and
+    # the norm climbs with every turn of the loop
+    decided = 0
+    for seed in range(300):
+        pda = random_pda(random.Random(seed), 3, 3, 8)
+        start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+        if not all(
+            emptying_search(pda, p, x, 12) for p in pda.controls for x in pda.stack_alphabet
+        ):
+            continue  # not fully normed, or only by long derivations
+        verdict = decide_regularity(pda, start)
+        if verdict.kind == "regular":
+            continue  # no loop grows the stack
+        assert isinstance(verdict.certificate, NormedEvidence), seed
+        decided += 1
+        ends = {}
+        for ((p, x), rules) in verdict.certificate.emptying:
+            assert norm(pda, (p, (x,)), len(rules)) == len(rules), (seed, p, x)
+            ends[(p, x)] = (len(rules), rules[-1].target)
+
+        def horizon(control, stack):
+            # popping the stack symbol by symbol along the sequences
+            total = 0
+            for x in stack:
+                (steps, control) = ends[(control, x)]
+                total += steps
+            return total
+
+        loop = verdict.certificate.loop
+        norms = []
+        for m in range(4):
+            stack = (loop.symbol,) + loop.period * m + loop.tail.prefix
+            got = norm(pda, (loop.control, stack), horizon(loop.control, stack))
+            assert got is not None and got >= len(stack), (seed, m)
+            norms.append(got)
+        assert norms == sorted(set(norms)), (seed, norms)
+    assert decided >= 50

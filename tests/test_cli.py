@@ -67,6 +67,19 @@ q Y a -> q Y Y
 q Y b -> q .
 """
 
+# a counter whose every control and symbol can pop: decided by the norm
+NORMED = """\
+pda
+controls: p
+alphabet: a b
+stack: X A
+init: p X
+p X a -> p A X
+p X b -> p .
+p A a -> p A A
+p A b -> p .
+"""
+
 LOOP = """\
 lts
 states: f
@@ -84,6 +97,7 @@ def files(tmp_path):
         ("growing.pda", GROWING),
         ("twin.pda", TWIN),
         ("deep.pda", DEEP),
+        ("normed.pda", NORMED),
         ("loop.lts", LOOP),
     ):
         target = tmp_path / name
@@ -474,3 +488,52 @@ def test_help_still_exits_0(capsys):
         main(["regcheck", "--help"])
     assert stop.value.code == 0
     assert "--candidate-budget" in capsys.readouterr().out
+
+
+def test_regcheck_reports_a_normed_verdict(files, capsys):
+    code = main(["regcheck", files["normed.pda"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    out = captured.out
+    assert "verdict: nonregular" in out
+    assert "exactness: certified" in out
+    assert "route: norm" in out
+    assert "loop top: A" in out
+    assert "loop period: A" in out
+    assert "loop rules: p A a -> p A A" in out
+    assert main(["regcheck", files["normed.pda"], "--format", "structured"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["route"] == "norm"
+    assert doc["loop"]["period"] == ["A"]
+    assert doc["loop"]["access_rules"] == ["p X a -> p A X"]
+    assert "witness" not in doc
+
+
+def test_regcheck_writes_a_normed_witness_document(files, capsys):
+    cert = str(files["dir"] / "normed.cert.json")
+    assert main(["regcheck", files["normed.pda"], "--cert-out", cert]) == 1
+    assert "certificate: written to" in capsys.readouterr().out
+    doc = certs.loads(open(cert).read())
+    assert doc["kind"] == "normed-witness"
+    assert [(e["control"], e["symbol"]) for e in doc["emptying"]] == [("p", "A"), ("p", "X")]
+
+
+def test_certcheck_accepts_a_normed_witness_document(files, capsys):
+    cert = str(files["dir"] / "normed.cert.json")
+    main(["regcheck", files["normed.pda"], "--cert-out", cert])
+    capsys.readouterr()
+    assert main(["certcheck", cert]) == 0
+    out = capsys.readouterr().out
+    assert "kind: normed-witness" in out
+    assert "ok: true" in out
+
+
+def test_witness_verify_points_a_normed_witness_to_certcheck(files, capsys):
+    cert = str(files["dir"] / "normed.cert.json")
+    main(["regcheck", files["normed.pda"], "--cert-out", cert])
+    capsys.readouterr()
+    assert main(["witness-verify", cert]) == 3
+    err = capsys.readouterr().err
+    assert "certcheck" in err
+    assert "Traceback" not in err

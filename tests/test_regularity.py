@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from pdabisim import (
     Config,
     GameContext,
     InputError,
+    Pda,
     Rule,
     StackWord,
     StairSearch,
@@ -21,8 +23,8 @@ from pdabisim import (
     pump_bound,
     verify_witness,
 )
-from pdabisim import regularity
-from pdabisim.regularity import PositiveSearch, pumped_config
+from pdabisim import certs, equivalence, regularity
+from pdabisim.regularity import NormedEvidence, PositiveSearch, pumped_config
 
 from oracles import random_pda
 
@@ -272,6 +274,69 @@ def test_regularity_games_share_positions_across_stack_tails(monkeypatch, seed):
     monkeypatch.setattr(GameContext, "_covered", counting)
     pda = random_pda(random.Random(seed), 3, 3, 8)
     start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
-    verdict = decide_regularity(pda, start)
-    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    # both seeds are fully normed, which decide_regularity settles by the
+    # norm without a game, so the pump route is played here directly
+    for candidate in StairSearch(pda, start):
+        witness = build_witness(pda, start, candidate, pump_bound(pda, candidate))
+        check = verify_witness(pda, witness)
+        if check.verdict == "verified":
+            break
+    assert check.certified
     assert len(solved) < 2000
+
+
+@pytest.mark.parametrize("seed", [2010, 2012, 2017, 2080, 2117, 2181])
+def test_normed_stalls_decide_by_the_norm(seed):
+    # one-control processes whose pump games used to run for many seconds
+    pda = random_pda(random.Random(seed), 3, 3, 8)
+    start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+    began = time.monotonic()
+    verdict = decide_regularity(pda, start)
+    assert time.monotonic() - began < 1.0
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    assert isinstance(verdict.certificate, NormedEvidence)
+    doc = certs.loads(certs.dumps(certs.verdict_document(pda, start, verdict)))
+    assert doc["kind"] == "normed-witness"
+    got = certs.check_document(doc)
+    assert got.ok, got.detail
+
+
+def test_normed_route_needs_a_finite_start():
+    # a periodic stack never empties, so there the race decides
+    pda = Pda(
+        controls=frozenset(["p"]),
+        stack_alphabet=frozenset(["X"]),
+        actions=frozenset(["a", "b"]),
+        rules=(Rule("p", "X", "a", "p", ("X", "X")), Rule("p", "X", "b", "p", ())),
+    )
+    finite = decide_regularity(pda, fin("p", "X"))
+    assert (finite.kind, finite.exactness) == ("nonregular", "certified")
+    assert isinstance(finite.certificate, NormedEvidence)
+    periodic = decide_regularity(pda, Config("p", StackWord.repeating((), ("X",))))
+    assert (periodic.kind, periodic.exactness) == ("regular", "certified")
+
+
+def test_normed_route_keeps_to_the_path_budget():
+    # emptying sequences longer than the path budget send the process to the race
+    pda = random_pda(random.Random(2010), 3, 3, 8)
+    total = sum(len(rules) for (_, rules) in regularity.emptying_sequences(pda, 10 ** 6))
+    assert regularity.emptying_sequences(pda, total) is not None
+    assert regularity.emptying_sequences(pda, total - 1) is None
+
+
+def test_a_regular_verdict_builds_one_automaton(monkeypatch):
+    # the comparison reads its truncations off the positive search's automaton
+    built = []
+    original = regularity.reach_automaton
+
+    def counting(pda, start):
+        built.append(start)
+        return original(pda, start)
+
+    monkeypatch.setattr(regularity, "reach_automaton", counting)
+    monkeypatch.setattr(equivalence, "reach_automaton", counting)
+    pda = random_pda(random.Random(2004), 3, 3, 8)
+    start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness) == ("regular", "certified")
+    assert len(built) == 1
