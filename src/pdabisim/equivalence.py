@@ -414,6 +414,13 @@ def _compare_with_finite(pda, config, lts, state, aut):
 
     ``aut`` must be ``reach_automaton(pda, config)``; a caller that already
     holds it saves the rebuild.
+
+    Each truncation is matched against every finite state by a ``level``
+    round game, but the partner tuple is computed once per pda game key.
+    That is exact: ``GameContext.bisim`` answers a pair from its memo entry
+    (level, pda key, finite key), since a pda key never equals a finite
+    one, so after the first truncation with a key has played every state,
+    any later truncation with that key gets the same answers.
     """
     validate_config(pda, config)
     if state not in lts.states:
@@ -443,16 +450,24 @@ def _compare_with_finite(pda, config, lts, state, aut):
         )
     if aut is None:
         aut = reach_automaton(pda, config)
-    truncations = sorted(reachable_truncations(aut, level))
+    truncations = sorted(
+        reachable_truncations(aut, level), key=lambda t: (t.control, t.prefix)
+    )
+    states = sorted(lts.states)
+    partners_of = {}        # pda game key -> partner tuple
     matches = []
     unmatched = []
     for trunc in truncations:
         probe = trunc.as_config()
-        partners = tuple(
-            g
-            for g in sorted(lts.states)
-            if bounded_bisim(pda_oracle, probe, fin_oracle, g, level, ctx=ctx)
-        )
+        key = pda_oracle.game_key(probe, level)
+        partners = partners_of.get(key)
+        if partners is None:
+            partners = tuple(
+                g
+                for g in states
+                if bounded_bisim(pda_oracle, probe, fin_oracle, g, level, ctx=ctx)
+            )
+            partners_of[key] = partners
         if partners:
             matches.append((trunc, partners))
         else:

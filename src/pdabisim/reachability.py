@@ -9,7 +9,11 @@ appears.  Queries then run against the automaton instead of the (generally
 infinite) configuration graph.
 
 ``poststar`` saturates in one worklist pass that handles each edge once, in
-the style of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000).
+the style of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000), firing
+the rules of a whole set of controls at once.  ``reachable_truncations``
+reads the depth-k cuts off the automaton by suffix: the cuts below each
+state are enumerated once per (state, depth) and shared by every prefix
+leading there.
 ``saturation_edges`` is the naive sweep over every rule; nothing on the fast
 path uses it, so a certificate checker can verify closure independently of
 how the automaton was produced.
@@ -210,9 +214,11 @@ def _saturate(pda, entries, skeleton):
     there and spreads along the silent ones.
 
     The edges a firing adds depend only on (control, symbol, target), so
-    each such triple fires once however many sources lead to it.  A rule
-    adds one edge per target: from its target control's entry when it
-    pushes at most one symbol, from its mid state when it pushes two.  A
+    each such triple fires once however many sources lead to it: ``fired``
+    maps (symbol, target) to the controls already fired there, and a set
+    of controls reaching a source fires only its difference with that set.
+    A rule adds one edge per target: from its target control's entry when
+    it pushes at most one symbol, from its mid state when it pushes two.  A
     two-symbol push also needs the entry-to-mid edge, which does not depend
     on the target, so that edge is added once, the first time the rule
     fires.
@@ -231,22 +237,27 @@ def _saturate(pda, entries, skeleton):
     todo = list(edges)
     popped = {}             # state -> popped edges out of it
     reach = {s: {q} for (q, s) in entries}
-    fired = set()           # (control, symbol, dst) already fired
+    fired = {}              # (symbol, dst) -> controls already fired
 
-    def fire(control, symbol, dst):
-        key = (control, symbol, dst)
-        if key in fired:
+    def fire(controls, symbol, dst):
+        done = fired.get((symbol, dst))
+        if done is None:
+            new = fired[(symbol, dst)] = set(controls)
+        elif done >= controls:
             return
-        fired.add(key)
-        for action in fires.get((control, symbol), ()):
-            if action[2] is not None:
-                edges.add(action[2])
-                todo.append(action[2])
-                action[2] = None
-            edge = (action[0], action[1], dst)
-            if edge not in edges:
-                edges.add(edge)
-                todo.append(edge)
+        else:
+            new = controls - done
+            done |= new
+        for control in new:
+            for action in fires.get((control, symbol), ()):
+                if action[2] is not None:
+                    edges.add(action[2])
+                    todo.append(action[2])
+                    action[2] = None
+                edge = (action[0], action[1], dst)
+                if edge not in edges:
+                    edges.add(edge)
+                    todo.append(edge)
 
     def spread(state, controls):
         stack = [(state, controls)]
@@ -261,8 +272,7 @@ def _saturate(pda, entries, skeleton):
                 if label == EPS:
                     stack.append((dst, new))
                 else:
-                    for q in new:
-                        fire(q, label, dst)
+                    fire(new, label, dst)
 
     while todo:
         edge = todo.pop()
@@ -274,8 +284,7 @@ def _saturate(pda, entries, skeleton):
         if label == EPS:
             spread(dst, frozenset(controls))
         else:
-            for q in controls:
-                fire(q, label, dst)
+            fire(controls, label, dst)
     return edges
 
 
@@ -378,6 +387,16 @@ def reachable_truncations(aut, k):
 
     At k = 0 that is (q, ()) for every control q reachable with any stack,
     the empty one included.  A depth past 12 raises BudgetError.
+
+    The cuts are enumerated by suffix, not by prefix: ``cuts(s, j)`` is the
+    set of depth-j cuts of the words read from state ``s`` to a coaccessible
+    state, memoized per (state, depth).  Over the silent closure of ``s``
+    it holds ``()`` when a final is in the closure, and for each edge
+    (word, dst) with a non-empty word either ``word[:j]`` when the word is
+    long enough or ``word + t`` for every t in ``cuts(dst, j - len(word))``.
+    The depth falls on every such edge, so the recursion is at most k deep
+    whatever the automaton; the closure is a plain search.  Shared suffixes
+    are enumerated once instead of once per prefix reaching them.
     """
     if k < 0:
         raise InputError("truncation depth must be >= 0, got %r" % (k,))
@@ -387,33 +406,38 @@ def reachable_truncations(aut, k):
             % (k, TRUNCATION_DEPTH_LIMIT)
         )
     coacc = _backward(aut.edges, aut.finals | {s for (s, _) in aut.live})
-    adj = {}
-    for (src, label, dst) in sorted(aut.edges):
-        if dst in coacc:
-            word = aut.flatten(label) if label != EPS else ()
-            adj.setdefault(src, []).append((dst, word))
-    eps_final = _backward([e for e in aut.edges if e[1] == EPS], aut.finals)
-    found = set()
-    for (control, start) in aut.entries:
-        whole = set()           # whole stacks shorter than k
-        cuts = set()            # depth-k cuts
-        todo = [(start, ())]
-        seen = {(start, ())}
-        while todo:
-            (state, prefix) = todo.pop()
-            if state in eps_final:
-                whole.add(prefix)
-            for (dst, word) in adj.get(state, ()):
-                grown = prefix + word
-                if len(grown) >= k:
-                    cuts.add(grown[:k])
-                    continue
-                nxt = (dst, grown)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        found.update(TruncatedConfig(control, prefix) for prefix in whole | cuts)
-    return found
+    silent = {}
+    reads = {}              # state -> [(word, dst), ...] edges into coacc
+    for (src, label, dst) in aut.edges:
+        if dst not in coacc:
+            continue
+        word = aut.flatten(label) if label != EPS else ()
+        if word:
+            reads.setdefault(src, []).append((word, dst))
+        else:
+            silent.setdefault(src, []).append((EPS, dst))
+    memo = {}
+
+    def cuts(state, j):
+        got = memo.get((state, j))
+        if got is not None:
+            return got
+        closure = _eps_closure(silent, (state,))
+        got = set() if aut.finals.isdisjoint(closure) else {()}
+        for s in closure:
+            for (word, dst) in reads.get(s, ()):
+                if len(word) >= j:
+                    got.add(word[:j])
+                else:
+                    got.update([word + t for t in cuts(dst, j - len(word))])
+        memo[(state, j)] = got
+        return got
+
+    return {
+        TruncatedConfig(control, prefix)
+        for (control, start) in aut.entries
+        for prefix in cuts(start, k)
+    }
 
 
 def completion(aut, truncated, depth=None):

@@ -578,15 +578,30 @@ class PositiveSearch:
         return self.level >= self.max_level
 
     def _partition(self, truncations, depth):
+        """Classes of ``truncations`` under ``depth``-round games, first-rep order.
+
+        Each truncation joins the class of the first representative it
+        agrees with, or starts a new class.  Only the first truncation per
+        game key is classified; the rest reuse its class.  That is exact:
+        a later truncation with the same key gets the same memoized answer
+        against every earlier representative, and if the first one became a
+        representative itself, the keys are equal and the game answers yes.
+        """
         classes = []
         reps = []
-        for trunc in sorted(truncations):
-            i = self._classify(trunc.as_config(), reps, depth)
+        class_of = {}           # game key -> class index
+        for trunc in sorted(truncations, key=lambda t: (t.control, t.prefix)):
+            config = trunc.as_config()
+            key = self.oracle.game_key(config, depth)
+            i = class_of.get(key)
             if i is None:
-                reps.append(trunc)
-                classes.append([trunc])
-            else:
-                classes[i].append(trunc)
+                i = self._classify(config, reps, depth)
+                if i is None:
+                    i = len(reps)
+                    reps.append(trunc)
+                    classes.append([])
+                class_of[key] = i
+            classes[i].append(trunc)
         return classes
 
     def _classify(self, config, reps, depth):

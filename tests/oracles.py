@@ -7,7 +7,7 @@ beyond the data containers, so agreement between the two is evidence and
 not an accident of shared code.
 """
 
-from pdabisim import FiniteLts, Pda, Rule
+from pdabisim import FiniteLts, Pda, Rule, TruncatedConfig
 
 
 class OracleBudget(Exception):
@@ -245,6 +245,56 @@ def automaton_accepts(aut, control, word):
     return False
 
 
+def naive_truncations(aut, k):
+    """Depth-k truncations of the accepted configurations, by a forward walk.
+
+    Walks (state, prefix) pairs from each control's entry, extending the
+    prefix by every edge into a state from which a final or live state is
+    reachable, and records a prefix when it reaches length k (cut there) or
+    when a final is silently reachable from its state (a whole stack shorter
+    than k).  Every prefix is walked separately, so this is the plain
+    definition, with no sharing of suffixes.
+    """
+    expand = dict(aut.expansions)
+    rev = {}
+    for (src, label, dst) in aut.edges:
+        rev.setdefault(dst, []).append((label, src))
+
+    def backward(targets, silent_only):
+        seen = set(targets)
+        todo = list(seen)
+        while todo:
+            for (label, src) in rev.get(todo.pop(), ()):
+                if (label == "" or not silent_only) and src not in seen:
+                    seen.add(src)
+                    todo.append(src)
+        return seen
+
+    coacc = backward(set(aut.finals) | {s for (s, _) in aut.live}, False)
+    ends = backward(set(aut.finals), True)
+    adj = {}
+    for (src, label, dst) in aut.edges:
+        if dst in coacc:
+            word = () if label == "" else expand.get(label, (label,))
+            adj.setdefault(src, []).append((dst, word))
+    found = set()
+    for (control, entry) in aut.entries:
+        todo = [(entry, ())]
+        seen = set(todo)
+        while todo:
+            (state, prefix) = todo.pop()
+            if state in ends:
+                found.add(TruncatedConfig(control, prefix))
+            for (dst, word) in adj.get(state, ()):
+                grown = prefix + word
+                if len(grown) >= k:
+                    found.add(TruncatedConfig(control, grown[:k]))
+                elif (dst, grown) not in seen:
+                    seen.add((dst, grown))
+                    todo.append((dst, grown))
+    return found
+
+
 def closure_violations(pda, aut):
     """Rules the automaton is not closed under, checked from first principles.
 
@@ -423,6 +473,32 @@ def random_pda(rng, max_controls=3, max_symbols=3, max_rules=8):
         stack_alphabet=frozenset(symbols),
         actions=frozenset(actions),
         rules=tuple(sorted(rules)),
+    )
+
+
+def dense_pda(rng, controls, rules):
+    """A pda with exactly ``controls`` controls and ``rules`` distinct rules.
+
+    Three stack symbols and two actions, each rule drawn uniformly like
+    ``random_pda`` draws them; at 8-10 controls and 60-80 rules many
+    controls share popped symbols and targets.
+    """
+    names = ["p%d" % i for i in range(controls)]
+    symbols = ["A", "B", "C"]
+    chosen = set()
+    while len(chosen) < rules:
+        push = tuple(
+            rng.choice(symbols) for _ in range(rng.choice((0, 0, 1, 1, 2, 2, 3)))
+        )
+        chosen.add(
+            Rule(rng.choice(names), rng.choice(symbols), rng.choice("ab"),
+                 rng.choice(names), push)
+        )
+    return Pda(
+        controls=frozenset(names),
+        stack_alphabet=frozenset(symbols),
+        actions=frozenset("ab"),
+        rules=tuple(sorted(chosen)),
     )
 
 

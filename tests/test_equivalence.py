@@ -27,8 +27,18 @@ from pdabisim import (
 )
 from pdabisim import equivalence
 from pdabisim.equivalence import absorb_dead_tail
+from pdabisim.reachability import completion, reach_automaton
 
-from oracles import OracleBudget, game_eqlevel, random_pda, random_stack
+from oracles import (
+    OracleBudget,
+    exact_reachable,
+    game_eqlevel,
+    naive_truncations,
+    pda_moves,
+    random_lts,
+    random_pda,
+    random_stack,
+)
 
 
 def fin(control, *symbols):
@@ -214,6 +224,99 @@ def test_counter_rejected_by_truncation_sweep(counter):
     assert got.root.kind == "at_least"
     assert TruncatedConfig("p", ("A", "A")) in got.unmatched
     assert got.counterexample == fin("p", "A", "A", "X")
+
+
+def plain_comparison(pda, config, lts, state):
+    """(matches, unmatched, counterexample), one game per (truncation, state)."""
+    level = len(lts.states)
+    (left, right) = (PdaOracle(pda), FiniteLtsOracle(lts))
+    ctx = GameContext(left, right)
+    if not bounded_bisim(left, config, right, state, level, ctx=ctx):
+        return ((), (), config)
+    aut = reach_automaton(pda, config)
+    matches = []
+    unmatched = []
+    for trunc in sorted(naive_truncations(aut, level)):
+        probe = trunc.as_config()
+        partners = tuple(
+            g
+            for g in sorted(lts.states)
+            if bounded_bisim(left, probe, right, g, level, ctx=ctx)
+        )
+        if partners:
+            matches.append((trunc, partners))
+        else:
+            unmatched.append(trunc)
+    witness = completion(aut, unmatched[0], level) if unmatched else None
+    return (tuple(matches), tuple(unmatched), witness)
+
+
+def inflated(rng, states):
+    """A random finite system and a pda bisimilar to it by construction.
+
+    Every rule follows one finite transition and pushes a non-empty word,
+    so (s, w) has the moves of state s whatever the stack w is.
+    """
+    names = ["s%d" % i for i in range(states)]
+    trans = frozenset(
+        (s, a, t) for s in names for a in "ab" for t in names if rng.random() < 0.5
+    )
+    lts = FiniteLts(frozenset(names), frozenset("ab"), trans)
+    rules = tuple(
+        Rule(s, x, a, t, tuple(rng.choice("ABC") for _ in range(rng.randint(1, 3))))
+        for (s, a, t) in sorted(trans)
+        for x in "ABC"
+    )
+    pda = Pda(frozenset(names), frozenset("ABC"), frozenset("ab"), rules)
+    return (pda, fin("s0", "A"), lts)
+
+
+def reachable_graph(rng, pda, start, tamper):
+    """The configuration graph of ``start`` as a finite system, or None.
+
+    None unless 2 to 8 configurations are reachable.  With ``tamper``, a
+    copy of one transition gets a random target.  Truncations sharing a top
+    symbol often differ below it here, so their partners differ too.
+    """
+    (reached, complete) = exact_reachable(pda, start.control, start.stack.prefix, 6, 40)
+    if not complete or not 2 <= len(reached) <= 8:
+        return None
+    names = {c: "n%d" % i for (i, c) in enumerate(sorted(reached))}
+    trans = {(names[c], a, names[d]) for c in reached for (a, d) in pda_moves(pda, *c)}
+    if tamper and trans:
+        (s, a, _) = rng.choice(sorted(trans))
+        trans.add((s, a, rng.choice(sorted(names.values()))))
+    lts = FiniteLts(frozenset(names.values()), frozenset(pda.actions), frozenset(trans))
+    return (lts, names[(start.control, start.stack.prefix)])
+
+
+def test_grouped_comparison_equals_one_game_per_pair():
+    rng = random.Random(63)
+    cases = []
+    for _ in range(30):
+        pda = random_pda(rng)
+        start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+        lts = random_lts(rng, max_states=3, max_actions=2, density=0.5)
+        cases.append((pda, start, lts, sorted(lts.states)[0]))
+    while len(cases) < 110:
+        pda = random_pda(rng)
+        start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+        graph = reachable_graph(rng, pda, start, len(cases) % 2)
+        if graph is not None:
+            cases.append((pda, start) + graph)
+    for states in (3, 4, 4, 5):
+        (pda, start, lts) = inflated(rng, states)
+        cases.append((pda, start, lts, "s0"))
+        # the same pda against its finite system from another state
+        cases.append((pda, start, lts, "s%d" % (states - 1)))
+    seen = set()
+    for (pda, start, lts, state) in cases:
+        got = bisim_pda_vs_finite(pda, start, lts, state)
+        want = plain_comparison(pda, start, lts, state)
+        assert (got.matches, got.unmatched, got.counterexample) == want
+        assert got.equivalent == (not want[1] and got.root.kind == "at_least")
+        seen.add((got.equivalent, got.root.kind))
+    assert seen == {(True, "at_least"), (False, "at_least"), (False, "finite")}
 
 
 def test_large_finite_systems_hit_the_guardrail(counter):

@@ -22,6 +22,7 @@ from pdabisim import (
 )
 from pdabisim.reachability import (
     TRUNCATION_DEPTH_LIMIT,
+    ConfigAutomaton,
     initial_skeleton,
     reach_automaton,
     saturation_edges,
@@ -30,7 +31,9 @@ from pdabisim.reachability import (
 from oracles import (
     bounded_reachable,
     closure_violations,
+    dense_pda,
     exact_reachable,
+    naive_truncations,
     prefix_reachable,
     prefix_unreachable,
     random_pda,
@@ -193,6 +196,44 @@ def test_truncations_equal_the_exact_reachable_set():
     assert composite_edges > 0
 
 
+def test_truncations_equal_the_forward_walk():
+    rng = random.Random(44)
+    for i in range(90):
+        pda = random_pda(rng, 4, 4, 12)
+        aut = reach_automaton(pda, random_start(rng, pda, ("finite", "empty", "periodic")[i % 3]))
+        for k in range(6):
+            assert reachable_truncations(aut, k) == naive_truncations(aut, k), (i, k)
+    # a pda drawn like the reach benchmark's ladder, with many silent edges
+    pda = dense_pda(random.Random(19), 8, 60)
+    first = min(pda.rules)
+    aut = reach_automaton(pda, fin(first.control, first.symbol))
+    assert sum(label == "" for (_, label, _) in aut.edges) > 100
+    for k in range(6):
+        assert reachable_truncations(aut, k) == naive_truncations(aut, k), k
+
+
+def test_an_empty_expansion_reads_as_silent():
+    # only a hand-made automaton, such as one read from a certificate
+    # document, has a symbol standing for no word; on a cycle it must not
+    # send the enumeration round forever
+    aut = ConfigAutomaton(
+        entries=(("p", "c:p"),),
+        finals=frozenset(["acc"]),
+        edges=frozenset(
+            [("c:p", "A", "m"), ("m", "Z", "m"), ("m", "Z", "acc"), ("m", "A", "acc")]
+        ),
+        expansions=(("Z", ()),),
+        alphabet=frozenset(["A", "Z"]),
+        original_alphabet=frozenset(["A"]),
+    )
+    for k in range(4):
+        assert reachable_truncations(aut, k) == naive_truncations(aut, k), k
+    assert reachable_truncations(aut, 3) == {
+        TruncatedConfig("p", ("A",)),
+        TruncatedConfig("p", ("A", "A")),
+    }
+
+
 def naive_fixpoint(pda, start):
     (entries, edges, _, _) = initial_skeleton(pda.controls, start)
     edges = set(edges)
@@ -216,6 +257,16 @@ def random_start(rng, pda, kind):
     return Config(rng.choice(sorted(pda.controls)), stack)
 
 
+def shared_silent_targets(aut):
+    """States that the entries of two or more controls reach by one silent edge."""
+    entry_states = {s for (_, s) in aut.entries}
+    sources = {}
+    for (src, label, dst) in aut.edges:
+        if label == "" and src in entry_states:
+            sources.setdefault(dst, set()).add(src)
+    return {dst for (dst, srcs) in sources.items() if len(srcs) > 1}
+
+
 def test_worklist_saturation_matches_the_naive_fixpoint():
     rng = random.Random(42)
     for i in range(300):
@@ -224,6 +275,16 @@ def test_worklist_saturation_matches_the_naive_fixpoint():
         aut = poststar(norm, start, mapping)
         assert aut.edges == naive_fixpoint(norm, start)
         assert closure_violations(norm, aut) == []
+    # dense draws: many controls reach one state silently, so a popped edge
+    # fires the rules of a whole control set at once
+    merged = 0
+    for (i, (controls, rules)) in enumerate(((8, 60), (9, 70), (10, 80))):
+        (norm, mapping) = normalize_rules(dense_pda(random.Random(43 + i), controls, rules))
+        start = random_start(rng, norm, ("finite", "empty", "periodic")[i])
+        aut = poststar(norm, start, mapping)
+        assert aut.edges == naive_fixpoint(norm, start), (controls, rules)
+        merged += len(shared_silent_targets(aut))
+    assert merged > 0
 
 
 def test_cached_lookups_leave_equality_and_hash_alone(twocycle, twocycle_start):
