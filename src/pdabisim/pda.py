@@ -177,7 +177,7 @@ class Pda:
 
     Rules are stored sorted and deduplicated.  All components of every rule
     must be declared in the respective alphabets; actions label rules only
-    (there is no silent action).
+    (there is no silent action), and no stack symbol is the empty string.
     """
 
     controls: frozenset
@@ -192,6 +192,9 @@ class Pda:
             raise InputError("a pda needs at least one control state")
         if not self.actions:
             raise InputError("a pda needs at least one action")
+        if "" in self.stack_alphabet:
+            # the reachability automaton labels its silent edges with ""
+            raise InputError("a stack symbol must be a non-empty name")
         for r in normalized:
             if r.control not in self.controls or r.target not in self.controls:
                 raise InputError("rule %r uses an undeclared control state" % (r.format(),))

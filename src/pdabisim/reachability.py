@@ -8,12 +8,13 @@ adds edges describing how it transforms accepted stacks, until nothing new
 appears.  Queries then run against the automaton instead of the (generally
 infinite) configuration graph.
 
-``poststar`` saturates in one worklist pass that handles each edge once, in
-the style of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000), firing
-the rules of a whole set of controls at once.  ``reachable_truncations``
-reads the depth-k cuts off the automaton by suffix: the cuts below each
-state are enumerated once per (state, depth) and shared by every prefix
-leading there.
+``poststar`` saturates in one worklist pass in the style of Esparza,
+Hansel, Rossmanith and Schwoon (CAV 2000), run on sets of states: the
+edges out of a state with one label are one bitmask of destinations, and a
+popped worklist key fires a whole batch of new destinations at once.
+``reachable_truncations`` reads the depth-k cuts off the automaton by
+suffix: the cuts below each state are enumerated once per (state, depth)
+and shared by every prefix leading there.
 ``saturation_edges`` is the naive sweep over every rule; nothing on the fast
 path uses it, so a certificate checker can verify closure independently of
 how the automaton was produced.
@@ -30,7 +31,9 @@ lose that information.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError
@@ -202,99 +205,140 @@ def initial_skeleton(controls, start):
     return (entries, frozenset(edges), frozenset(finals), tuple(sorted(live)))
 
 
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _saturate(pda, entries, skeleton):
     """The least edge set containing ``skeleton`` and closed under the rules.
 
     One worklist pass; the same fixpoint that looping ``saturation_edges``
-    reaches, with the same ``r%d`` mid state per rule index.  ``reach[s]``
-    holds the controls whose entry state reaches ``s`` by silent edges.  A
-    popped symbol edge fires the matching rules of every control reaching
-    its source; a popped silent edge spreads those controls to its target.
-    A control newly reaching a state fires the symbol edges already popped
-    there and spreads along the silent ones.
+    reaches, with the same ``r%d`` mid state per rule index.  States are
+    numbered once, and the edges out of a state with one label are one
+    bitmask of destinations.  The worklist holds (state, label) keys: new
+    destinations for a key already queued are OR-ed into its pending mask,
+    and the queue is first in, first out, so a key gathers a batch of
+    destinations before it is popped and fires them all at once.
+
+    ``reach[c]`` is the mask of states that control c's entry reaches by
+    silent edges, and ``controls[s]`` lists the controls reaching state s.
+    A popped symbol key fires the matching rules of every control reaching
+    its state; a popped silent key spreads those controls to its
+    destinations.  A control newly reaching a state fires the symbol edges
+    already popped there and spreads along the silent ones.
 
     The edges a firing adds depend only on (control, symbol, target), so
-    each such triple fires once however many sources lead to it: ``fired``
-    maps (symbol, target) to the controls already fired there, and a set
-    of controls reaching a source fires only its difference with that set.
-    A rule adds one edge per target: from its target control's entry when
-    it pushes at most one symbol, from its mid state when it pushes two.  A
-    two-symbol push also needs the entry-to-mid edge, which does not depend
-    on the target, so that edge is added once, the first time the rule
-    fires.
+    ``fired[(c, X)]`` masks the targets already fired for them and a firing
+    handles only the rest.  A rule adds one edge per target: from its target
+    control's entry when it pushes at most one symbol, from its mid state
+    when it pushes two.  A two-symbol push also needs the entry-to-mid
+    edge, which does not depend on the target, so that edge is added once,
+    the first time the rule fires.
     """
     entry = dict(entries)
+    index = {}
+    for (_, s) in entries:
+        index[s] = len(index)
+    for (src, _, dst) in skeleton:
+        index.setdefault(src, len(index))
+        index.setdefault(dst, len(index))
     fires = {}              # (control, symbol) -> [[head, label, once], ...]
     for (i, rule) in enumerate(pda.rules):
-        (src, push) = (entry[rule.target], rule.push)
+        (src, push) = (index[entry[rule.target]], rule.push)
         if len(push) < 2:
             action = [src, push[0] if push else EPS, None]
         else:
-            mid = "r%d" % i
-            action = [mid, push[1], (src, push[0], mid)]
+            mid = index["r%d" % i] = len(index)
+            action = [mid, push[1], (src, push[0], 1 << mid)]
         fires.setdefault((rule.control, rule.symbol), []).append(action)
-    edges = set(skeleton)
-    todo = list(edges)
-    popped = {}             # state -> popped edges out of it
-    reach = {s: {q} for (q, s) in entries}
-    fired = {}              # (symbol, dst) -> controls already fired
+    out = {}                # (state, label) -> destination mask
+    pending = {}            # (state, label) -> destinations not yet popped
+    queue = collections.deque()
 
-    def fire(controls, symbol, dst):
-        done = fired.get((symbol, dst))
-        if done is None:
-            new = fired[(symbol, dst)] = set(controls)
-        elif done >= controls:
+    def add(key, bits):
+        have = out.get(key, 0)
+        bits &= ~have
+        if bits:
+            out[key] = have | bits
+            if key in pending:
+                pending[key] |= bits
+            else:
+                pending[key] = bits
+                queue.append(key)
+
+    for (src, label, dst) in skeleton:
+        add((index[src], label), 1 << index[dst])
+    popped = {}             # state -> {label: popped destination mask}
+    reach = {q: 1 << index[s] for (q, s) in entries}
+    controls = {index[s]: [q] for (q, s) in entries}
+    fired = {}              # (control, symbol) -> targets already fired
+
+    def fire(control, symbol, dsts):
+        actions = fires.get((control, symbol))
+        if actions is None:
             return
-        else:
-            new = controls - done
-            done |= new
-        for control in new:
-            for action in fires.get((control, symbol), ()):
-                if action[2] is not None:
-                    edges.add(action[2])
-                    todo.append(action[2])
-                    action[2] = None
-                edge = (action[0], action[1], dst)
-                if edge not in edges:
-                    edges.add(edge)
-                    todo.append(edge)
+        done = fired.get((control, symbol), 0)
+        new = dsts & ~done
+        if not new:
+            return
+        fired[(control, symbol)] = done | new
+        for action in actions:
+            if action[2] is not None:
+                (head, label, mid) = action[2]
+                add((head, label), mid)
+                action[2] = None
+            add((action[0], action[1]), new)
 
-    def spread(state, controls):
-        stack = [(state, controls)]
-        while stack:
-            (s, incoming) = stack.pop()
-            have = reach.setdefault(s, set())
-            new = incoming - have
+    def spread(control, dsts):
+        todo = [dsts]
+        while todo:
+            new = todo.pop() & ~reach[control]
             if not new:
                 continue
-            have |= new
-            for (_, label, dst) in popped.get(s, ()):
-                if label == EPS:
-                    stack.append((dst, new))
-                else:
-                    fire(new, label, dst)
+            reach[control] |= new
+            for s in _bits(new):
+                controls.setdefault(s, []).append(control)
+                for (label, mask) in popped.get(s, {}).items():
+                    if label == EPS:
+                        todo.append(mask)
+                    else:
+                        fire(control, label, mask)
 
-    while todo:
-        edge = todo.pop()
-        (src, label, dst) = edge
-        popped.setdefault(src, []).append(edge)
-        controls = reach.get(src)
-        if not controls:
-            continue
+    while queue:
+        key = queue.popleft()
+        bits = pending.pop(key)
+        (src, label) = key
+        done = popped.setdefault(src, {})
+        done[label] = done.get(label, 0) | bits
         if label == EPS:
-            spread(dst, frozenset(controls))
+            for control in controls.get(src, ()):
+                spread(control, bits)
         else:
-            fire(controls, label, dst)
-    return edges
+            for control in controls.get(src, ()):
+                fire(control, label, bits)
+    # few distinct masks recur over many keys: name each mask's states once
+    names = list(index)
+    dsts = {mask: [names[b] for b in _bits(mask)] for mask in set(out.values())}
+    return frozenset(itertools.chain.from_iterable(
+        itertools.product((names[src],), (label,), dsts[mask])
+        for ((src, label), mask) in out.items()
+    ))
 
 
 def poststar(pda, start, norm_map=None):
     """Saturated automaton of everything reachable from ``start``.
 
-    The edges come from one worklist pass (``_saturate``): the least edge set
-    containing the start skeleton and closed under the rules, which is what
-    looping ``saturation_edges`` to a fixpoint yields too.  Mid states are
-    named ``r<i>`` after the index of the rule that pushes two symbols.
+    The edges come from one worklist pass over destination bitmasks
+    (``_saturate``): the least edge set containing the start skeleton and
+    closed under the rules, which is what looping ``saturation_edges`` to a
+    fixpoint yields too.  Mid states are named ``r<i>`` after the index of
+    the rule that pushes two symbols.
 
     Pre: every rule of ``pda`` pushes at most two symbols (run normalize_rules
     first otherwise).  A periodic start stack is handled by closing the
@@ -315,7 +359,7 @@ def poststar(pda, start, norm_map=None):
     return ConfigAutomaton(
         entries=entries,
         finals=frozenset(finals),
-        edges=frozenset(edges),
+        edges=edges,
         expansions=tuple(expansions),
         alphabet=frozenset(pda.stack_alphabet),
         original_alphabet=frozenset(pda.stack_alphabet - composite),

@@ -6,11 +6,16 @@ control q.  Longer segments compose these single-symbol effects.  Alongside
 the relation we keep, per triple, the length of the shortest derivation that
 realizes it; the table's ``bound`` is the largest of those lengths, so every
 recorded endpoint is reachable within ``bound`` steps.
+
+``compute_transformers`` finds the triples and their exact shortest lengths
+in one pass of Knuth's generalisation of Dijkstra's algorithm to grammar
+derivations (IPL 1977): each triple is settled once, at its least cost.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -37,41 +42,56 @@ class TransformerTable:
         return floors
 
 
-def _chain_costs(start, word, dist):
-    """Cheapest ways to empty ``word`` starting in ``start``: end -> cost."""
-    costs = {start: 0}
-    for sym in word:
-        nxt = {}
-        for (p, c) in costs.items():
-            for ((p1, s1, q1), d) in dist.items():
-                if p1 == p and s1 == sym:
-                    if q1 not in nxt or c + d < nxt[q1]:
-                        nxt[q1] = c + d
-        costs = nxt
-        if not costs:
-            break
-    return costs
-
-
 def compute_transformers(pda):
-    """The emptying relation of a pda, with exact shortest-derivation bound.
+    """The emptying relation of a pda, with exact shortest-derivation lengths.
 
-    Fixpoint over the rules: a rule p X -a-> q alpha contributes (p, X, r)
-    whenever alpha can be emptied from q ending in r, at cost one plus the
-    cost of emptying alpha.  Iteration stops when no cost improves.
+    The least fixpoint over the rules: a rule p X -a-> q alpha contributes
+    (p, X, r) whenever alpha can be emptied from q ending in r, at cost one
+    plus the cost of emptying alpha.  It is computed by Knuth's
+    generalisation of Dijkstra's algorithm to grammar derivations (IPL
+    1977).  A heap holds triples (p, X, q) and partial chains (rule, i, c):
+    the first i pushed symbols of the rule emptied from its target, ending
+    in control c.  A popped triple extends the chains waiting on (p, X); a
+    popped chain joins the popped triples of its next symbol, and a complete
+    one yields its triple at one more step.  Every cost is one plus a sum of
+    non-negative terms, so the first pop of a triple carries its least
+    cost, and ``shortest`` and ``bound`` are exact.
     """
-    dist = {}
-    changed = True
-    while changed:
-        changed = False
-        for rule in pda.rules:
-            chains = _chain_costs(rule.target, rule.push, dist)
-            for (end, cost) in chains.items():
-                key = (rule.control, rule.symbol, end)
-                total = 1 + cost
-                if key not in dist or total < dist[key]:
-                    dist[key] = total
-                    changed = True
+    rules = pda.rules
+    heap = []
+    dist = {}               # (p, X, q) -> fewest steps
+    ends = {}               # (p, X) -> [(q, steps), ...] popped so far
+    waiting = {}            # (p, X) -> [(rule index, position, cost), ...]
+    chains = set()          # (rule index, position, control) popped so far
+
+    def settle(i, at, c, cost):
+        rule = rules[i]
+        if at == len(rule.push):
+            heapq.heappush(heap, (cost + 1, 0, rule.control, rule.symbol, c))
+            return
+        need = (c, rule.push[at])
+        waiting.setdefault(need, []).append((i, at, cost))
+        for (q, steps) in ends.get(need, ()):
+            heapq.heappush(heap, (cost + steps, 1, i, at + 1, q))
+
+    # the empty chains cost nothing, so they settle before any pop
+    for (i, rule) in enumerate(rules):
+        settle(i, 0, rule.target, 0)
+    while heap:
+        item = heapq.heappop(heap)
+        if item[1] == 1:
+            (cost, _, i, at, c) = item
+            if (i, at, c) not in chains:
+                chains.add((i, at, c))
+                settle(i, at, c, cost)
+            continue
+        (cost, _, p, x, q) = item
+        if (p, x, q) in dist:
+            continue
+        dist[(p, x, q)] = cost
+        ends.setdefault((p, x), []).append((q, cost))
+        for (i, at, base) in waiting.get((p, x), ()):
+            heapq.heappush(heap, (base + cost, 1, i, at + 1, q))
     bound = max(dist.values(), default=0)
     return TransformerTable(
         controls=pda.controls,

@@ -391,6 +391,46 @@ def emptying_search(pda, control, symbol, horizon):
     return found
 
 
+def _chain_costs(start, word, dist):
+    """Cheapest ways to empty ``word`` starting in ``start``: end -> cost."""
+    costs = {start: 0}
+    for sym in word:
+        nxt = {}
+        for (p, c) in costs.items():
+            for ((p1, s1, q1), d) in dist.items():
+                if p1 == p and s1 == sym:
+                    if q1 not in nxt or c + d < nxt[q1]:
+                        nxt[q1] = c + d
+        costs = nxt
+        if not costs:
+            break
+    return costs
+
+
+def naive_transformers(pda):
+    """The emptying relation with shortest-derivation lengths, round-robin.
+
+    Fixpoint over the rules: a rule p X -a-> q alpha contributes (p, X, r)
+    whenever alpha can be emptied from q ending in r, at cost one plus the
+    cost of emptying alpha.  Iteration stops when no cost improves.
+    Returns (triples, shortest, bound) as ``TransformerTable`` holds them.
+    """
+    dist = {}
+    changed = True
+    while changed:
+        changed = False
+        for rule in pda.rules:
+            chains = _chain_costs(rule.target, rule.push, dist)
+            for (end, cost) in chains.items():
+                key = (rule.control, rule.symbol, end)
+                total = 1 + cost
+                if key not in dist or total < dist[key]:
+                    dist[key] = total
+                    changed = True
+    bound = max(dist.values(), default=0)
+    return (frozenset(dist), tuple(sorted(dist.items())), bound)
+
+
 def norm(pda, config, limit):
     """Fewest moves from ``config`` to a configuration without moves, by BFS.
 

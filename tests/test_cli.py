@@ -418,6 +418,22 @@ def test_witness_documents_with_bad_budgets_are_input_errors(files, capsys, budg
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["counter.pda", "growing.pda"])
+def test_documents_declaring_the_empty_stack_symbol_exit_3(files, capsys, name):
+    # the empty string is post*'s silent label, never a stack symbol
+    cert = str(files["dir"] / "empty-symbol.cert.json")
+    main(["regcheck", files[name], "--cert-out", cert])
+    capsys.readouterr()
+    doc = certs.loads(open(cert).read())
+    doc["pda"]["stack"].append("")
+    doc["pda"]["rules"].append(
+        {"control": "p", "symbol": "X", "action": "a", "target": "p", "push": [""]}
+    )
+    bad = _write_doc(files, "bad.cert.json", doc)
+    assert main(["certcheck", bad]) == 3
+    assert "non-empty" in capsys.readouterr().err
+
+
 def test_zero_budgets_turn_searches_off(files, capsys):
     code = main(["regcheck", files["growing.pda"], "--truncation-max", "0"])
     out = capsys.readouterr().out

@@ -142,6 +142,15 @@ def test_pda_rejects_inconsistent_rules():
         )
 
 
+def test_pda_rejects_the_empty_stack_symbol():
+    # post* labels its silent edges with "", so such a push would read as
+    # silent: p[] would seem reachable and p[''] would not
+    with pytest.raises(InputError, match="non-empty"):
+        Pda({"p"}, {"", "A"}, {"a"}, (Rule("p", "A", "a", "p", ("",)),))
+    with pytest.raises(InputError):
+        Pda(frozenset(["p"]), frozenset([""]), frozenset(["a"]), ())
+
+
 def test_normalize_rules_caps_push_length():
     wide = Pda(
         controls=frozenset(["p", "q"]),

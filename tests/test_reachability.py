@@ -278,13 +278,36 @@ def test_worklist_saturation_matches_the_naive_fixpoint():
     # dense draws: many controls reach one state silently, so a popped edge
     # fires the rules of a whole control set at once
     merged = 0
+    widest = 0
     for (i, (controls, rules)) in enumerate(((8, 60), (9, 70), (10, 80))):
         (norm, mapping) = normalize_rules(dense_pda(random.Random(43 + i), controls, rules))
         start = random_start(rng, norm, ("finite", "empty", "periodic")[i])
         aut = poststar(norm, start, mapping)
         assert aut.edges == naive_fixpoint(norm, start), (controls, rules)
         merged += len(shared_silent_targets(aut))
+        widest = max(widest, len(aut.states()))
     assert merged > 0
+    # the destination masks span more than one machine word
+    assert widest > 64
+
+
+def test_saturation_around_a_periodic_cycle_of_pops():
+    # the pops p0 -A-> p1 -B-> p0 walk both controls round the live cycle
+    # g0 -A-> g1 -B-> g0 and the pushed loop at r1, so both reach g1 and r1
+    # by silent edges, and a popped silent key carries several destinations
+    # at once: a kernel firing only one of them misses c:p0 . r1
+    rules = (
+        Rule("p0", "A", "a", "p1", ()),
+        Rule("p0", "A", "b", "p0", ("A", "B")),
+        Rule("p1", "B", "b", "p0", ()),
+    )
+    pda = Pda(frozenset(["p0", "p1"]), frozenset("AB"), frozenset("ab"), rules)
+    start = Config("p0", StackWord.repeating((), ("A", "B")))
+    aut = poststar(pda, start)
+    assert aut.edges == naive_fixpoint(pda, start)
+    assert ("c:p0", "", "r1") in aut.edges
+    assert closure_violations(pda, aut) == []
+    assert shared_silent_targets(aut) == {"g1", "r1"}
 
 
 def test_cached_lookups_leave_equality_and_hash_alone(twocycle, twocycle_start):

@@ -11,7 +11,13 @@ from pdabisim import (
     period_iteration,
 )
 
-from oracles import emptying_search, random_pda, random_stack
+from oracles import (
+    dense_pda,
+    emptying_search,
+    naive_transformers,
+    random_pda,
+    random_stack,
+)
 
 
 def test_counter_triples(counter):
@@ -94,6 +100,25 @@ def test_triples_match_emptying_search():
         for (key, d) in sorted(want.items()):
             assert shortest.get(key) == d
         assert table.bound == max(want.values(), default=0)
+
+
+def test_table_matches_the_round_robin_fixpoint(counter, growing, twocycle):
+    # random_pda pushes up to 3 symbols, so chains run past two positions
+    rng = random.Random(52)
+    pdas = [random_pda(rng) for _ in range(150)]
+    pdas += [random_pda(rng, 4, 4, 12) for _ in range(150)]
+    pdas += [dense_pda(random.Random(53), 8, 60), dense_pda(random.Random(54), 10, 80)]
+    pdas += [counter, growing, twocycle]
+    (empty, deepest) = (0, 0)
+    for pda in pdas:
+        table = compute_transformers(pda)
+        assert (table.triples, table.shortest, table.bound) == naive_transformers(pda)
+        empty += not table.triples
+        deepest = max(deepest, table.bound)
+    # some draws, and the growing process, pop nothing
+    assert empty >= 2
+    assert max(p.max_push() for p in pdas[:300]) == 3
+    assert deepest > 2
 
 
 def test_set_transformer_is_monotone():
