@@ -54,7 +54,6 @@ from .regularity import (
     Verdict,
     Witness,
     WitnessCheck,
-    build_witness,
     decide_regularity,
     pump_bound,
     verify_witness,
@@ -91,7 +90,6 @@ __all__ = [
     "apply_set_transformer",
     "bisim_pda_vs_finite",
     "bounded_bisim",
-    "build_witness",
     "canonicalize",
     "certify_bisimilar",
     "certs",

@@ -58,9 +58,10 @@ from .equivalence import BisimCertificate, check_coverage
 from .regularity import (
     LoopCandidate,
     NormedEvidence,
+    Witness,
     _replay,
-    build_witness,
     pump_bound,
+    replay_loop,
     verify_witness,
 )
 
@@ -220,35 +221,25 @@ def _replay_strategy(doc, left, right, succ_left, succ_right, dec_left, dec_righ
         return False
     side = _integer(doc, "side")
     action = doc["action"]
-    if side == 0:
-        target = dec_left(doc["target"])
-        if (action, target) not in tuple(succ_left(left)):
+    if side not in (0, 1):
+        raise InputError("strategy side must be 0 or 1, got %r" % (side,))
+    sides = [(left, succ_left, dec_left), (right, succ_right, dec_right)]
+    (mover, succ_mover, dec_mover) = sides[side]
+    (other, succ_other, dec_other) = sides[1 - side]
+    target = dec_mover(doc["target"])
+    if (action, target) not in tuple(succ_mover(mover)):
+        return False
+    answers = {t for (a, t) in succ_other(other) if a == action}
+    replies = {dec_other(enc): sub for (enc, sub) in doc["replies"]}
+    if set(replies) != answers:
+        return False
+    for (answer, sub) in replies.items():
+        pair = (target, answer) if side == 0 else (answer, target)
+        if not _replay_strategy(
+            sub, *pair, succ_left, succ_right, dec_left, dec_right, depth - 1
+        ):
             return False
-        answers = {t for (a, t) in succ_right(right) if a == action}
-        replies = {dec_right(enc): sub for (enc, sub) in doc["replies"]}
-        if set(replies) != answers:
-            return False
-        return all(
-            _replay_strategy(
-                sub, target, answer, succ_left, succ_right, dec_left, dec_right, depth - 1
-            )
-            for (answer, sub) in replies.items()
-        )
-    if side == 1:
-        target = dec_right(doc["target"])
-        if (action, target) not in tuple(succ_right(right)):
-            return False
-        answers = {s for (a, s) in succ_left(left) if a == action}
-        replies = {dec_left(enc): sub for (enc, sub) in doc["replies"]}
-        if set(replies) != answers:
-            return False
-        return all(
-            _replay_strategy(
-                sub, answer, target, succ_left, succ_right, dec_left, dec_right, depth - 1
-            )
-            for (answer, sub) in replies.items()
-        )
-    raise InputError("strategy side must be 0 or 1, got %r" % (side,))
+    return True
 
 
 def _side_doc(kind, value):
@@ -361,6 +352,30 @@ def _read_document(doc, kind, reader):
         raise InputError("malformed %s document: %r" % (kind, exc))
 
 
+def _loop_doc(loop):
+    """The six document fields of a stack-growing loop."""
+    return {
+        "control": loop.control,
+        "symbol": loop.symbol,
+        "period": list(loop.period),
+        "tail": stack_doc(loop.tail),
+        "loop_rules": [rule_doc(r) for r in loop.v_rules],
+        "access_rules": [rule_doc(r) for r in loop.w_rules],
+    }
+
+
+def _loop_from(doc):
+    return LoopCandidate(
+        control=doc["control"],
+        symbol=doc["symbol"],
+        period=word_from(doc["period"]),
+        tail=stack_from(doc["tail"]),
+        v_rules=tuple(rule_from(r) for r in doc["loop_rules"]),
+        w_rules=tuple(rule_from(r) for r in doc["access_rules"]),
+        stamped=False,
+    )
+
+
 def _witness_from(doc):
     pda = pda_from(doc["pda"])
     start = config_from(doc["start"])
@@ -375,18 +390,8 @@ def _witness_from(doc):
             "pump_omega_budget %r is not the %d that omega_budget %d gives"
             % (stored, config.pump_omega_budget, config.omega_budget)
         )
-    candidate = LoopCandidate(
-        control=doc["control"],
-        symbol=doc["symbol"],
-        period=word_from(doc["period"]),
-        tail=stack_from(doc["tail"]),
-        v_rules=tuple(rule_from(r) for r in doc["loop_rules"]),
-        w_rules=tuple(rule_from(r) for r in doc["access_rules"]),
-        stamped=False,
-    )
-    pump = pump_bound(pda, candidate, config)
-    witness = build_witness(pda, start, candidate, pump)
-    return (pda, start, witness, config)
+    loop = _loop_from(doc)
+    return (pda, start, Witness(start, loop, pump_bound(pda, loop, config)), config)
 
 
 def witness_from_document(doc):
@@ -414,12 +419,7 @@ def witness_document(pda, start, evidence, config):
         "kind": "witness",
         "pda": pda_doc(pda),
         "start": config_doc(start),
-        "control": witness.control,
-        "symbol": witness.symbol,
-        "period": list(witness.period),
-        "tail": stack_doc(witness.tail),
-        "loop_rules": [rule_doc(r) for r in witness.v_rules],
-        "access_rules": [rule_doc(r) for r in witness.w_rules],
+        **_loop_doc(witness.loop),
         "bound": witness.pump.bound,
         "base_level": check.base.value,
         "budgets": {
@@ -433,18 +433,12 @@ def witness_document(pda, start, evidence, config):
 
 def normed_document(pda, start, evidence):
     """Certificate document for a non-regularity verdict decided by the norm."""
-    loop = evidence.loop
     return {
         "format": FORMAT,
         "kind": "normed-witness",
         "pda": pda_doc(pda),
         "start": config_doc(start),
-        "control": loop.control,
-        "symbol": loop.symbol,
-        "period": list(loop.period),
-        "tail": stack_doc(loop.tail),
-        "loop_rules": [rule_doc(r) for r in loop.v_rules],
-        "access_rules": [rule_doc(r) for r in loop.w_rules],
+        **_loop_doc(evidence.loop),
         "emptying": [
             {"control": p, "symbol": x, "rules": [rule_doc(r) for r in rules]}
             for ((p, x), rules) in evidence.emptying
@@ -602,27 +596,11 @@ def _check_witness(doc):
     return CheckResult(True, "witness", check.reason)
 
 
-def _replay_to(pda, config, rules, what, expected):
-    """Why ``rules`` do not replay from ``config`` to ``expected``; None if they do."""
-    try:
-        reached = _replay(pda, config, rules, what)
-    except InputError as exc:
-        return str(exc)
-    if reached != expected:
-        return "%s ends at %s, expected %s" % (what, reached.format(), expected.format())
-    return None
-
-
 def _check_normed(doc):
     pda = pda_from(doc["pda"])
     start = config_from(doc["start"])
     validate_config(pda, start)
-    control = doc["control"]
-    symbol = doc["symbol"]
-    period = word_from(doc["period"])
-    tail = stack_from(doc["tail"])
-    loop_rules = tuple(rule_from(r) for r in doc["loop_rules"])
-    access_rules = tuple(rule_from(r) for r in doc["access_rules"])
+    loop = _loop_from(doc)
     emptying = {}
     for entry in doc["emptying"]:
         pair = (entry["control"], entry["symbol"])
@@ -635,21 +613,10 @@ def _check_normed(doc):
 
     if start.stack.period:
         return failed("the start stack is periodic, so no configuration has a finite norm")
-    if not period:
-        return failed("the loop period is empty, so the loop does not grow the stack")
-    problem = _replay_to(
-        pda, start, access_rules, "the access path", Config(control, tail.push((symbol,)))
-    )
-    if problem is None:
-        problem = _replay_to(
-            pda,
-            Config(control, StackWord.finite((symbol,))),
-            loop_rules,
-            "the loop body",
-            Config(control, StackWord.finite((symbol,) + period)),
-        )
-    if problem is not None:
-        return failed(problem)
+    try:
+        replay_loop(pda, start, loop)
+    except InputError as exc:
+        return failed(str(exc))
     pairs = [(p, x) for p in sorted(pda.controls) for x in sorted(pda.stack_alphabet)]
     for (p, x) in pairs:
         if (p, x) not in emptying:
@@ -671,7 +638,7 @@ def _check_normed(doc):
         True,
         "normed-witness",
         "all %d (control, symbol) pairs empty, and the loop grows the stack by %d per"
-        " turn, so reachable norms are unbounded" % (len(pairs), len(period)),
+        " turn, so reachable norms are unbounded" % (len(pairs), len(loop.period)),
     )
 
 

@@ -264,9 +264,11 @@ def _emit(args, lines, doc, out):
         out.write("\n".join(lines) + "\n")
 
 
-def _write_cert(args, doc, lines, report):
-    if getattr(args, "cert_out", None) is None:
+def _write_cert(args, make_doc, lines, report):
+    """Write ``make_doc()`` to ``--cert-out`` when it is given; None certifies nothing."""
+    if args.cert_out is None:
         return
+    doc = make_doc()
     if doc is None:
         lines.append("certificate: none")
         report["certificate"] = None
@@ -331,24 +333,25 @@ def cmd_regcheck(args, out):
             "emptying_rules": emptying,
         }
     elif verdict.kind == "nonregular":
-        witness = verdict.certificate.witness
+        loop = verdict.certificate.witness.loop
+        bound = verdict.certificate.witness.pump.bound
         check = verdict.certificate.check
-        lines.append("witness control: %s" % (witness.control,))
-        lines.append("witness top: %s" % (witness.symbol,))
-        lines.append("witness loop: %s" % (" ".join(witness.period),))
-        lines.append("witness tail: %s" % (witness.tail.format(),))
-        lines.append("bound: %d" % (witness.pump.bound,))
+        lines.append("witness control: %s" % (loop.control,))
+        lines.append("witness top: %s" % (loop.symbol,))
+        lines.append("witness loop: %s" % (" ".join(loop.period),))
+        lines.append("witness tail: %s" % (loop.tail.format(),))
+        lines.append("bound: %d" % (bound,))
         lines.append("base level: %d" % (check.base.value,))
         levels = " ".join(
             str(r.value) if r.is_finite else "?" for (_, r) in check.corroboration
         )
         lines.append("corroboration: %s" % (levels,))
         report["witness"] = {
-            "control": witness.control,
-            "top": witness.symbol,
-            "loop": list(witness.period),
-            "tail": witness.tail.format(),
-            "bound": witness.pump.bound,
+            "control": loop.control,
+            "top": loop.symbol,
+            "loop": list(loop.period),
+            "tail": loop.tail.format(),
+            "bound": bound,
             "base_level": check.base.value,
             "corroboration": [
                 (copies, r.value if r.is_finite else None)
@@ -367,11 +370,14 @@ def cmd_regcheck(args, out):
             "level": comparison.level,
             "lts": certs.lts_doc(comparison.lts),
         }
-    cert_doc = None
-    if verdict.kind != "unknown":
-        cert_doc = certs.verdict_document(pda, start, verdict, settings)
     for (key, value) in verdict.stats:
         lines.append("stat %s: %s" % (key, value))
+
+    def cert_doc():
+        if verdict.kind == "unknown":
+            return None
+        return certs.verdict_document(pda, start, verdict, settings)
+
     _write_cert(args, cert_doc, lines, report)
     _emit(args, lines, report, out)
     if verdict.kind == "regular":
@@ -409,9 +415,12 @@ def cmd_eqlevel(args, out):
     else:
         lines.append("result: at-least")
         lines.append("cutoff: %d" % (result.value,))
-    cert_doc = None
-    if result.is_finite or result.is_omega:
-        cert_doc = certs.eq_level_document(pda, left, right, result)
+
+    def cert_doc():
+        if not (result.is_finite or result.is_omega):
+            return None
+        return certs.eq_level_document(pda, left, right, result)
+
     _write_cert(args, cert_doc, lines, report)
     _emit(args, lines, report, out)
     return 0 if (result.is_finite or result.is_omega) else 2
@@ -448,11 +457,14 @@ def cmd_bisim_finite(args, out):
     if comparison.counterexample is not None and not comparison.equivalent:
         lines.append("counterexample: %s" % (comparison.counterexample.format(),))
         report["counterexample"] = comparison.counterexample.format()
-    cert_doc = None
-    if comparison.equivalent:
-        cert_doc = certs.comparison_document(pda, comparison)
-    elif comparison.root.is_finite and comparison.root.certificate is not None:
-        cert_doc = certs.comparison_root_document(pda, comparison)
+
+    def cert_doc():
+        if comparison.equivalent:
+            return certs.comparison_document(pda, comparison)
+        if comparison.root.is_finite and comparison.root.certificate is not None:
+            return certs.comparison_root_document(pda, comparison)
+        return None
+
     _write_cert(args, cert_doc, lines, report)
     _emit(args, lines, report, out)
     return 0 if comparison.equivalent else 1

@@ -23,6 +23,7 @@ from .lts import (
     EqLevelResult,
     FiniteLtsOracle,
     GameContext,
+    Strategy,
     bounded_bisim,
     eqlevel,
     refine_blocks,
@@ -194,13 +195,39 @@ def _closure_search(pda, oracle, left, right, budget, agree):
     return tuple(sorted(rel, key=lambda p: p[0].sort_key() + p[1].sort_key()))
 
 
+def _raw_strategy(pda, oracle, strategy, left, right):
+    """``strategy``, won on the absorbed graph, replayed from ``left`` and ``right``.
+
+    Absorbing a raw successor gives the absorption of the matching successor
+    of the absorbed configuration, so every raw move follows the
+    sub-strategy of its absorption, and the result wins on raw ``step``.
+    """
+    (mover, other) = (left, right) if strategy.side == 0 else (right, left)
+    target = next(
+        c for (a, c) in step(pda, mover)
+        if a == strategy.action and oracle.absorb(c) == strategy.target
+    )
+    subs = dict(strategy.replies)
+    replies = []
+    for (a, reply) in step(pda, other):
+        if a == strategy.action:
+            pair = (target, reply) if strategy.side == 0 else (reply, target)
+            sub = _raw_strategy(pda, oracle, subs[oracle.absorb(reply)], *pair)
+            replies.append((reply, sub))
+    return Strategy(strategy.side, strategy.action, target, tuple(replies))
+
+
 def _finite_graph_route(pda, oracle, left, right, cap):
     """Decide the pair exactly when both absorbed regions are finite.
 
     Explores each side's absorbed successor graph up to ``cap`` states; on
     success the question reduces to plain partition refinement on a finite
-    graph.  Returns an EqLevelResult, or None when a region blows the cap.
+    graph.  ``left`` and ``right`` are raw configurations: a separating
+    strategy is played on the absorbed graph and replayed on them.  Returns
+    an EqLevelResult, or None when a region blows the cap.
     """
+    raw = (left, right)
+    (left, right) = (oracle.absorb(left), oracle.absorb(right))
     try:
         reach_left = region(oracle, left, cap + 1, max_states=cap)
         reach_right = region(oracle, right, cap + 1, max_states=cap)
@@ -211,7 +238,9 @@ def _finite_graph_route(pda, oracle, left, right, cap):
     if block[left] != block[right]:
         exact = eqlevel(oracle, left, oracle, right, len(states) + 1)
         assert exact.is_finite, "refinement split the pair but no level separates it"
-        return exact
+        return EqLevelResult.finite(
+            exact.value, _raw_strategy(pda, oracle, exact.certificate, *raw)
+        )
     pairs = _closure_search(
         pda, oracle, left, right, len(states) ** 2 + 1, lambda a, b: block[a] == block[b]
     )
@@ -251,11 +280,11 @@ def certify_bisimilar(
     equal = _certify_equal(oracle, left, right)
     if equal is not None:
         return equal
-    a = oracle.absorb(left)
-    b = oracle.absorb(right)
-    finite = _finite_graph_route(pda, oracle, a, b, budget)
+    finite = _finite_graph_route(pda, oracle, left, right, budget)
     if finite is not None:
         return finite
+    a = oracle.absorb(left)
+    b = oracle.absorb(right)
     probe_ctx = ctx if ctx is not None else GameContext(PdaOracle(pda), PdaOracle(pda))
 
     def agree(x, y):

@@ -334,9 +334,6 @@ class PumpBound:
     finite system can sustain.
     """
 
-    control: str
-    symbol: str
-    period: tuple
     preperiod: int
     cycle_length: int
     limit_controls: tuple
@@ -351,9 +348,6 @@ def pump_bound(pda, candidate, config=AnalysisConfig()):
     )
     reach = iteration.preperiod + iteration.cycle_length
     return PumpBound(
-        control=candidate.control,
-        symbol=candidate.symbol,
-        period=candidate.period,
         preperiod=iteration.preperiod,
         cycle_length=iteration.cycle_length,
         limit_controls=tuple(sorted(iteration.cycle_set)),
@@ -362,57 +356,38 @@ def pump_bound(pda, candidate, config=AnalysisConfig()):
     )
 
 
+def pumped_config(loop, copies):
+    """The configuration (control, symbol period^copies tail) of a loop."""
+    word = StackWord(
+        (loop.symbol,) + tuple(loop.period) * copies + loop.tail.prefix,
+        loop.tail.period,
+    )
+    return Config(loop.control, canonicalize(word))
+
+
 @dataclass(frozen=True)
 class Witness:
     """A self-contained non-regularity witness.
 
-    ``c_fin`` is the candidate loop pumped ``pump.bound`` times, ``c_inf``
-    its limit.  Replaying ``w_rules`` from ``start`` and ``v_rules`` from the
-    loop head proves every pumped configuration reachable; the equivalence
-    level between ``c_fin`` and ``c_inf`` then decides the witness.
+    ``c_fin`` is the loop pumped ``pump.bound`` times, ``c_inf`` its limit.
+    Replaying the loop (``replay_loop``) proves every pumped configuration
+    reachable from ``start``; the equivalence level between ``c_fin`` and
+    ``c_inf`` then decides the witness.
     """
 
     start: Config
-    control: str
-    symbol: str
-    period: tuple
-    tail: StackWord
-    v_rules: tuple
-    w_rules: tuple
+    loop: LoopCandidate
     pump: PumpBound
-    c_fin: Config
-    c_inf: Config
 
+    @property
+    def c_fin(self):
+        return pumped_config(self.loop, self.pump.bound)
 
-def pumped_config(control, symbol, period, tail, copies):
-    """The configuration (control, symbol period^copies tail)."""
-    word = StackWord(
-        (symbol,) + tuple(period) * copies + tail.prefix,
-        tail.period,
-    )
-    return Config(control, canonicalize(word))
-
-
-def build_witness(pda, start, candidate, pump):
-    """Assemble the witness for a candidate whose bound has been computed."""
-    limit = Config(
-        candidate.control,
-        StackWord.repeating((candidate.symbol,), candidate.period),
-    )
-    return Witness(
-        start=start,
-        control=candidate.control,
-        symbol=candidate.symbol,
-        period=candidate.period,
-        tail=candidate.tail,
-        v_rules=candidate.v_rules,
-        w_rules=candidate.w_rules,
-        pump=pump,
-        c_fin=pumped_config(
-            candidate.control, candidate.symbol, candidate.period, candidate.tail, pump.bound
-        ),
-        c_inf=limit,
-    )
+    @property
+    def c_inf(self):
+        return Config(
+            self.loop.control, StackWord.repeating((self.loop.symbol,), self.loop.period)
+        )
 
 
 @dataclass(frozen=True)
@@ -453,59 +428,58 @@ def _replay(pda, config, rules, what):
     return config
 
 
+def _replay_to(pda, config, rules, what, expected):
+    reached = _replay(pda, config, rules, what)
+    if reached != expected:
+        raise InputError(
+            "%s ends at %s, expected %s" % (what, reached.format(), expected.format())
+        )
+
+
+def replay_loop(pda, start, loop):
+    """Check by rule replay that ``loop`` grows the stack from ``start``.
+
+    The period must be non-empty, the access rules must take ``start`` to
+    (control, symbol tail), and the loop rules must turn (control, [symbol])
+    into (control, [symbol] period); replaying them on the bare top symbol
+    proves they never read below it.  So (control, symbol period^m tail) is
+    reachable for every m.  A failing part raises InputError naming it.
+    """
+    if not loop.period:
+        raise InputError("the loop period is empty, so the loop does not grow the stack")
+    top = (loop.symbol,)
+    _replay_to(
+        pda, start, loop.w_rules, "the access path", Config(loop.control, loop.tail.push(top))
+    )
+    _replay_to(
+        pda,
+        Config(loop.control, StackWord.finite(top)),
+        loop.v_rules,
+        "the loop body",
+        Config(loop.control, StackWord.finite(top + loop.period)),
+    )
+
+
 def verify_witness(pda, witness, config=AnalysisConfig()):
     """Re-check a witness from scratch.
 
-    Structural replay first: the access path must reach the loop head and
-    the loop body must add exactly one period without reading below its top
-    symbol (replaying it on the bare top symbol proves that).  Then the
-    equivalence levels decide the verdict.  Malformed witnesses raise
-    InputError; well-formed ones always get a verdict.
+    The loop is replayed first (``replay_loop``); then the equivalence
+    levels decide the verdict.  Malformed witnesses raise InputError;
+    well-formed ones always get a verdict.
     """
     validate_config(pda, witness.start)
-    if not witness.period:
-        raise InputError("witness period is empty")
-    if not witness.v_rules:
-        raise InputError("witness loop body is empty")
-    head = Config(witness.control, witness.tail.push((witness.symbol,)))
-    reached = _replay(pda, witness.start, witness.w_rules, "witness access path")
-    if reached != head:
-        raise InputError(
-            "witness access path ends at %s, expected %s"
-            % (reached.format(), head.format())
-        )
-    bare = _replay(
-        pda,
-        Config(witness.control, StackWord.finite((witness.symbol,))),
-        witness.v_rules,
-        "witness loop body",
-    )
-    grown = Config(witness.control, StackWord.finite((witness.symbol,) + witness.period))
-    if bare != grown:
-        raise InputError(
-            "witness loop body yields %s, expected %s" % (bare.format(), grown.format())
-        )
-    expected = pumped_config(
-        witness.control, witness.symbol, witness.period, witness.tail, witness.pump.bound
-    )
-    if witness.c_fin != expected:
-        raise InputError("witness pumped configuration does not match its bound")
-    if witness.c_inf != Config(
-        witness.control, StackWord.repeating((witness.symbol,), witness.period)
-    ):
-        raise InputError("witness limit configuration does not match its loop")
+    replay_loop(pda, witness.start, witness.loop)
 
     bound = witness.pump.bound
     cycle = max(1, witness.pump.cycle_length)
     oracle = PdaOracle(pda)
     ctx = GameContext(oracle, oracle)
     checks = []
+    limit = witness.c_inf
     for copies in (bound, bound + cycle, bound + 2 * cycle):
-        pumped = pumped_config(
-            witness.control, witness.symbol, witness.period, witness.tail, copies
-        )
+        pumped = pumped_config(witness.loop, copies)
         result = eqlevel_configs(
-            pda, pumped, witness.c_inf, config.cutoff, config.omega_budget, ctx=ctx
+            pda, pumped, limit, config.cutoff, config.omega_budget, ctx=ctx
         )
         checks.append((copies, result))
     (_, base) = checks[0]
@@ -837,8 +811,7 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
                     negative_done = True
                     break
                 examined += 1
-                pump = pump_bound(pda, candidate, config)
-                witness = build_witness(pda, start, candidate, pump)
+                witness = Witness(start, candidate, pump_bound(pda, candidate, config))
                 check = verify_witness(pda, witness, config)
                 if check.verdict == "verified":
                     exactness = "certified" if check.certified else "modulo-cutoff"

@@ -516,7 +516,7 @@ def test_criterion_07_regularity_verdicts_with_certificates():
     assert check.verdict == "verified"
     assert check.certified
     bound = check.bound
-    cycle = len(evidence.witness.period)
+    cycle = len(evidence.witness.loop.period)
     indices = [m for (m, _) in check.corroboration]
     assert indices == [bound, bound + cycle, bound + 2 * cycle]
     for (m, r) in check.corroboration:

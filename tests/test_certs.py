@@ -1,6 +1,7 @@
 """Certificate documents: emission, independent checking, tamper detection."""
 
 import copy
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from pdabisim import (
     eqlevel_configs,
 )
 from pdabisim import certs
+from pdabisim.cli import parse_pda
 from pdabisim.regularity import NormedEvidence
 
 from oracles import emptying_search, norm, random_pda
@@ -421,3 +423,57 @@ def test_normed_evidence_matches_the_brute_force_norm():
             norms.append(got)
         assert norms == sorted(set(norms)), (seed, norms)
     assert decided >= 50
+
+
+# the README's counter, and its normed.pda: the counter plus "p X b -> p ."
+README_COUNTER = """\
+pda
+controls: p
+alphabet: a b
+stack: X A
+init: p X
+p X a -> p A X
+p A a -> p A A
+p A b -> p .
+"""
+README_NORMED = README_COUNTER.replace("p X a -> p A X\n", "p X a -> p A X\np X b -> p .\n")
+
+
+@pytest.mark.parametrize(
+    "text,kind,digest",
+    [
+        (README_COUNTER, "witness",
+         "c05adab7f5b305a5ae0eef9d495300418ae63946d37f767c287345bb409e27b8"),
+        (README_NORMED, "normed-witness",
+         "5a8d89a5f330ea06e7d1050ea1874d98ad666c344d0949fe1801c44054ca5a40"),
+    ],
+)
+def test_document_bytes_are_pinned(text, kind, digest):
+    # a change to these bytes is a change of the document format
+    assert certs.FORMAT == 1
+    (pda, start) = parse_pda(text)
+    doc = certs.verdict_document(pda, start, decide_regularity(pda, start))
+    assert doc["kind"] == kind
+    assert hashlib.sha256(certs.dumps(doc).encode()).hexdigest() == digest
+
+
+def test_finite_graph_strategy_replays_on_the_raw_sides():
+    # the level (70) is past the default cutoff, so the finite-graph route
+    # decides the pair, playing on absorbed configurations
+    pda = Pda(
+        controls=frozenset(["p"]),
+        stack_alphabet=frozenset(["A", "X", "Y", "Z"]),
+        actions=frozenset(["a", "b", "c"]),
+        rules=(
+            Rule("p", "A", "a", "p", ()),
+            Rule("p", "X", "b", "p", ("X",)),
+            Rule("p", "Y", "c", "p", ("Y",)),
+        ),
+    )
+    left = fin("p", *("A",) * 70, "X", "Z")
+    right = fin("p", *("A",) * 70, "Y", "Z")
+    result = eqlevel_configs(pda, left, right)
+    assert (result.kind, result.value) == ("finite", 70)
+    doc = certs.eq_level_document(pda, left, right, result)
+    got = certs.check_document(certs.loads(certs.dumps(doc)))
+    assert got.ok, got.detail

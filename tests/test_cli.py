@@ -1,6 +1,8 @@
 """Command line round trips, exit codes and output stability."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -553,3 +555,31 @@ def test_witness_verify_points_a_normed_witness_to_certcheck(files, capsys):
     err = capsys.readouterr().err
     assert "certcheck" in err
     assert "Traceback" not in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_session():
+    """(argv, output lines) of each command in the README's "A short session"."""
+    section = README.read_text().split("### A short session", 1)[1].split("\n## ", 1)[0]
+    runs = []
+    for block in section.split("```")[1::2]:
+        for line in block.splitlines():
+            if line.startswith("$ pdabisim "):
+                runs.append((shlex.split(line[len("$ pdabisim "):]), []))
+            elif line:
+                runs[-1][1].append(line)
+    return runs
+
+
+def test_readme_session_transcripts_match(files, capsys):
+    runs = readme_session()
+    assert [argv for (argv, _) in runs] == [
+        ["regcheck", "counter.pda"],
+        ["eqlevel", "counter.pda", "p[A X]", "p[A A X]"],
+        ["regcheck", "normed.pda"],
+    ]
+    for (argv, expected) in runs:
+        main([files.get(arg, arg) for arg in argv])
+        assert capsys.readouterr().out.splitlines() == expected, argv

@@ -1,5 +1,6 @@
 """Loop candidates, pump bounds, witnesses and the combined verdict."""
 
+import dataclasses
 import gc
 import random
 import time
@@ -12,13 +13,13 @@ from pdabisim import (
     Config,
     GameContext,
     InputError,
+    LoopCandidate,
     Pda,
     Rule,
     StackWord,
     StairSearch,
     Witness,
     bisim_pda_vs_finite,
-    build_witness,
     decide_regularity,
     pump_bound,
     verify_witness,
@@ -74,16 +75,18 @@ def test_counter_pump_bound(counter, counter_start):
 
 
 def test_pumped_config_stacks_copies():
-    got = pumped_config("p", "A", ("A",), StackWord.finite(("X",)), 3)
+    def loop(tail):
+        return LoopCandidate("p", "A", ("A",), tail, (), (), False)
+
+    got = pumped_config(loop(StackWord.finite(("X",))), 3)
     assert got == fin("p", "A", "A", "A", "A", "X")
-    limit = pumped_config("p", "A", ("A",), StackWord.repeating((), ("A",)), 2)
+    limit = pumped_config(loop(StackWord.repeating((), ("A",))), 2)
     assert limit == Config("p", StackWord.repeating((), ("A",)))
 
 
 def test_counter_witness_verifies(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
-    pump = pump_bound(counter, candidate)
-    witness = build_witness(counter, counter_start, candidate, pump)
+    witness = Witness(counter_start, candidate, pump_bound(counter, candidate))
     assert witness.c_fin == fin("p", "A", "A", "A", "X")
     assert witness.c_inf == Config("p", StackWord.repeating((), ("A",)))
     check = verify_witness(counter, witness)
@@ -97,8 +100,7 @@ def test_counter_witness_verifies(counter, counter_start):
 
 def test_witness_exhausts_under_tiny_cutoff(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
-    pump = pump_bound(counter, candidate)
-    witness = build_witness(counter, counter_start, candidate, pump)
+    witness = Witness(counter_start, candidate, pump_bound(counter, candidate))
     check = verify_witness(counter, witness, AnalysisConfig(cutoff=2, omega_budget=0))
     assert check.verdict == "exhausted"
     assert not check.certified
@@ -106,8 +108,7 @@ def test_witness_exhausts_under_tiny_cutoff(counter, counter_start):
 
 def test_witness_on_regular_process_is_refuted(growing, growing_start):
     candidate = first_candidate(growing, growing_start)
-    pump = pump_bound(growing, candidate)
-    witness = build_witness(growing, growing_start, candidate, pump)
+    witness = Witness(growing_start, candidate, pump_bound(growing, candidate))
     check = verify_witness(growing, witness)
     assert check.verdict == "refuted"
     assert check.corroborated is False
@@ -116,35 +117,20 @@ def test_witness_on_regular_process_is_refuted(growing, growing_start):
 def test_witness_with_broken_replay_is_malformed(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
     pump = pump_bound(counter, candidate)
-    witness = build_witness(counter, counter_start, candidate, pump)
-    wrong_body = Witness(
-        start=witness.start,
-        control=witness.control,
-        symbol=witness.symbol,
-        period=witness.period,
-        tail=witness.tail,
-        v_rules=(Rule("p", "A", "b", "p", ()),),
-        w_rules=witness.w_rules,
-        pump=witness.pump,
-        c_fin=witness.c_fin,
-        c_inf=witness.c_inf,
+    bodies = (
+        (Rule("p", "A", "b", "p", ()),),
+        (Rule("p", "A", "a", "p", ("A", "A", "A")),),
     )
-    with pytest.raises(InputError):
-        verify_witness(counter, wrong_body)
-    foreign_rule = Witness(
-        start=witness.start,
-        control=witness.control,
-        symbol=witness.symbol,
-        period=witness.period,
-        tail=witness.tail,
-        v_rules=(Rule("p", "A", "a", "p", ("A", "A", "A")),),
-        w_rules=witness.w_rules,
-        pump=witness.pump,
-        c_fin=witness.c_fin,
-        c_inf=witness.c_inf,
-    )
-    with pytest.raises(InputError):
-        verify_witness(counter, foreign_rule)
+    for body in bodies:
+        loop = dataclasses.replace(candidate, v_rules=body)
+        with pytest.raises(InputError, match="the loop body"):
+            verify_witness(counter, Witness(counter_start, loop, pump))
+    flat = dataclasses.replace(candidate, period=())
+    with pytest.raises(InputError, match="period is empty"):
+        verify_witness(counter, Witness(counter_start, flat, pump))
+    elsewhere = Witness(fin("p", "A", "X"), candidate, pump)
+    with pytest.raises(InputError, match="the access path"):
+        verify_witness(counter, elsewhere)
 
 
 def test_positive_search_settles_growing(growing, growing_start):
@@ -198,7 +184,7 @@ def test_decide_counter_is_nonregular(counter, counter_start):
     assert verdict.winner == "negative"
     evidence = verdict.certificate
     assert evidence.check.verdict == "verified"
-    assert evidence.witness.period == ("A",)
+    assert evidence.witness.loop.period == ("A",)
     stats = dict(verdict.stats)
     assert stats["negative-candidates"] >= 1
     assert set(stats) == {
@@ -214,8 +200,8 @@ def test_decide_twocycle_is_nonregular(twocycle, twocycle_start):
     verdict = decide_regularity(twocycle, twocycle_start)
     assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
     evidence = verdict.certificate
-    assert (evidence.witness.control, evidence.witness.symbol) == ("q", "A")
-    assert evidence.witness.period == ("A", "A")
+    loop = evidence.witness.loop
+    assert (loop.control, loop.symbol, loop.period) == ("q", "A", ("A", "A"))
     assert evidence.check.bound == 2
     assert evidence.check.base.value == 5
 
@@ -277,7 +263,7 @@ def test_regularity_games_share_positions_across_stack_tails(monkeypatch, seed):
     # both seeds are fully normed, which decide_regularity settles by the
     # norm without a game, so the pump route is played here directly
     for candidate in StairSearch(pda, start):
-        witness = build_witness(pda, start, candidate, pump_bound(pda, candidate))
+        witness = Witness(start, candidate, pump_bound(pda, candidate))
         check = verify_witness(pda, witness)
         if check.verdict == "verified":
             break
