@@ -33,7 +33,7 @@ from .pda import (
     truncate,
     validate_config,
 )
-from .reachability import ConfigAutomaton, completion, member, poststar, reachable_truncations
+from .reachability import ConfigAutomaton, completion, poststar, reachable_truncations
 from .transformers import compute_transformers, apply_set_transformer, period_iteration
 from .equivalence import (
     BisimCertificate,
@@ -100,7 +100,6 @@ __all__ = [
     "eqlevel",
     "eqlevel_configs",
     "limit_level_bound",
-    "member",
     "normalize_rules",
     "period_iteration",
     "poststar",

@@ -28,19 +28,37 @@ from .reachability import reach_automaton
 from .regularity import NormedEvidence, decide_regularity, verify_witness
 
 
-def _section(line, name):
-    if not line.startswith(name + ":"):
-        return None
-    return line[len(name) + 1 :].split()
+def _read_lines(text, header, noun, once):
+    """The lines of a sectioned file as ``(lineno, section, value)``, in file order.
 
-
-def _first_time(seen, name, lineno):
-    """Record a section's line; a section given twice is an input error."""
-    if name in seen:
-        raise InputError(
-            "repeated '%s:' section (first on line %d)" % (name, seen[name]), line=lineno
-        )
-    seen[name] = lineno
+    ``#`` starts a comment and blank lines are skipped; ``header`` must come
+    first.  A ``name:`` line whose name is in ``once`` gives that name and the
+    names after the colon, and may appear only once.  Any other line gives
+    ``None`` and the line itself.
+    """
+    first = {}
+    started = False
+    for (lineno, raw) in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not started:
+            if line != header:
+                raise InputError("expected the '%s' header first" % (header,), line=lineno)
+            started = True
+            continue
+        name = line.split(":", 1)[0]
+        if name == line or name not in once:
+            yield (lineno, None, line)
+            continue
+        if name in first:
+            raise InputError(
+                "repeated '%s:' section (first on line %d)" % (name, first[name]), line=lineno
+            )
+        first[name] = lineno
+        yield (lineno, name, line[len(name) + 1 :].split())
+    if not started:
+        raise InputError("empty input: expected %s" % (noun,))
 
 
 def parse_pda(text):
@@ -49,44 +67,20 @@ def parse_pda(text):
     ``#`` starts a comment; blank lines are ignored.  Everything must be
     declared before use; repeated sections and duplicate rules are rejected.
     """
-    controls = actions = stack = None
-    init = None
-    sections = {}
+    decl = {}
+    init_line = None
     rules = []
     rule_lines = {}
-    header = False
-    for (lineno, raw) in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not header:
-            if line != "pda":
-                raise InputError("expected the 'pda' header first", line=lineno)
-            header = True
-            continue
-        got = _section(line, "controls")
-        if got is not None:
-            _first_time(sections, "controls", lineno)
-            controls = got
-            continue
-        got = _section(line, "alphabet")
-        if got is not None:
-            _first_time(sections, "alphabet", lineno)
-            actions = got
-            continue
-        got = _section(line, "stack")
-        if got is not None:
-            _first_time(sections, "stack", lineno)
-            stack = got
-            continue
-        got = _section(line, "init")
-        if got is not None:
-            _first_time(sections, "init", lineno)
+    sections = ("controls", "alphabet", "stack", "init")
+    for (lineno, name, got) in _read_lines(text, "pda", "a 'pda' file", sections):
+        if name == "init":
             if not got:
                 raise InputError("init needs a control state", line=lineno)
-            init = got
+            init_line = lineno
+        if name is not None:
+            decl[name] = got
             continue
-        tokens = line.split()
+        tokens = got.split()
         if len(tokens) < 6 or tokens[3] != "->":
             raise InputError(
                 "expected 'control symbol action -> target push...' (use '.' for an"
@@ -104,16 +98,14 @@ def parse_pda(text):
             )
         rule_lines[rule] = lineno
         rules.append((lineno, rule))
-    if not header:
-        raise InputError("empty input: expected a 'pda' file")
-    for (name, got) in (("controls", controls), ("alphabet", actions), ("stack", stack)):
-        if got is None:
+    for name in sections[:3]:
+        if name not in decl:
             raise InputError("missing '%s:' declaration" % (name,))
-        if not got:
+        if not decl[name]:
             raise InputError("'%s:' must declare at least one name" % (name,))
-    declared_controls = frozenset(controls)
-    declared_actions = frozenset(actions)
-    declared_stack = frozenset(stack)
+    (declared_controls, declared_actions, declared_stack) = (
+        frozenset(decl[name]) for name in sections[:3]
+    )
     for (lineno, rule) in rules:
         for (what, value, declared) in (
             ("control", rule.control, declared_controls),
@@ -132,56 +124,36 @@ def parse_pda(text):
         actions=declared_actions,
         rules=tuple(r for (_, r) in rules),
     )
-    if init is None:
+    if init_line is None:
         raise InputError("missing 'init:' declaration")
+    init = decl["init"]
     start = Config(init[0], StackWord.finite(tuple(init[1:])))
     try:
         validate_config(pda, start)
     except InputError as exc:
-        raise InputError(str(exc), line=sections["init"])
+        raise InputError(str(exc), line=init_line)
     return (pda, start)
 
 
 def parse_lts(text):
     """Parse the finite-system file format; repeated sections are rejected."""
-    states = actions = None
-    sections = {}
+    decl = {}
     transitions = []
-    header = False
-    for (lineno, raw) in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for (lineno, name, got) in _read_lines(text, "lts", "an 'lts' file", ("states", "actions")):
+        if name is not None:
+            decl[name] = got
             continue
-        if not header:
-            if line != "lts":
-                raise InputError("expected the 'lts' header first", line=lineno)
-            header = True
-            continue
-        got = _section(line, "states")
-        if got is not None:
-            _first_time(sections, "states", lineno)
-            states = got
-            continue
-        got = _section(line, "actions")
-        if got is not None:
-            _first_time(sections, "actions", lineno)
-            actions = got
-            continue
-        got = _section(line, "trans")
-        if got is not None:
-            if len(got) != 3:
-                raise InputError("expected 'trans: source action target'", line=lineno)
-            transitions.append((lineno, tuple(got)))
-            continue
-        raise InputError("expected a states:/actions:/trans: line", line=lineno)
-    if not header:
-        raise InputError("empty input: expected an 'lts' file")
-    if states is None:
-        raise InputError("missing 'states:' declaration")
-    if actions is None:
-        raise InputError("missing 'actions:' declaration")
-    declared_states = frozenset(states)
-    declared_actions = frozenset(actions)
+        if not got.startswith("trans:"):
+            raise InputError("expected a states:/actions:/trans: line", line=lineno)
+        triple = tuple(got[len("trans:") :].split())
+        if len(triple) != 3:
+            raise InputError("expected 'trans: source action target'", line=lineno)
+        transitions.append((lineno, triple))
+    for name in ("states", "actions"):
+        if name not in decl:
+            raise InputError("missing '%s:' declaration" % (name,))
+    declared_states = frozenset(decl["states"])
+    declared_actions = frozenset(decl["actions"])
     for (lineno, (src, act, dst)) in transitions:
         if src not in declared_states or dst not in declared_states:
             raise InputError("undeclared state in transition", line=lineno)
@@ -264,6 +236,17 @@ def _emit(args, lines, doc, out):
         out.write("\n".join(lines) + "\n")
 
 
+def _say(lines, report, *keys):
+    """Append ``key: value`` for each key the report holds a value for; booleans read true/false."""
+    for key in keys:
+        value = report.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append("%s: %s" % (key, value))
+
+
 def _write_cert(args, make_doc, lines, report):
     """Write ``make_doc()`` to ``--cert-out`` when it is given; None certifies nothing."""
     if args.cert_out is None:
@@ -295,7 +278,6 @@ def cmd_regcheck(args, out):
     (pda, start) = parse_pda(_read(args.pda))
     settings = _settings(args)
     verdict = decide_regularity(pda, start, settings)
-    lines = ["verdict: %s" % (verdict.kind,)]
     report = {
         "command": "regcheck",
         "input": args.pda,
@@ -305,10 +287,8 @@ def cmd_regcheck(args, out):
         "winner": verdict.winner,
         "stats": {k: v for (k, v) in verdict.stats},
     }
-    if verdict.exactness is not None:
-        lines.append("exactness: %s" % (verdict.exactness,))
-    if verdict.winner is not None:
-        lines.append("winner: %s" % (verdict.winner,))
+    lines = []
+    _say(lines, report, "verdict", "exactness", "winner")
     if isinstance(verdict.certificate, NormedEvidence):
         loop = verdict.certificate.loop
         emptying = sum(len(rules) for (_, rules) in verdict.certificate.emptying)
@@ -393,10 +373,6 @@ def cmd_eqlevel(args, out):
     right = parse_config_literal(args.right)
     settings = _settings(args)
     result = eqlevel_configs(pda, left, right, settings.cutoff, settings.omega_budget)
-    lines = [
-        "left: %s" % (left.format(),),
-        "right: %s" % (right.format(),),
-    ]
     report = {
         "command": "eqlevel",
         "input": args.pda,
@@ -404,17 +380,8 @@ def cmd_eqlevel(args, out):
         "right": right.format(),
     }
     report.update(_eqlevel_doc(result))
-    if result.is_finite:
-        lines.append("result: finite")
-        lines.append("level: %d" % (result.value,))
-    elif result.is_omega:
-        lines.append("result: omega")
-        basis = getattr(result.certificate, "kind", None)
-        if basis is not None:
-            lines.append("basis: %s" % (basis,))
-    else:
-        lines.append("result: at-least")
-        lines.append("cutoff: %d" % (result.value,))
+    lines = []
+    _say(lines, report, "left", "right", "result", "level", "basis", "cutoff")
 
     def cert_doc():
         if not (result.is_finite or result.is_omega):
@@ -432,12 +399,6 @@ def cmd_bisim_finite(args, out):
     if args.start is not None:
         start = parse_config_literal(args.start)
     comparison = bisim_pda_vs_finite(pda, start, lts, args.state)
-    lines = [
-        "configuration: %s" % (start.format(),),
-        "state: %s" % (args.state,),
-        "equivalent: %s" % ("true" if comparison.equivalent else "false",),
-        "level: %d" % (comparison.level,),
-    ]
     report = {
         "command": "bisim-finite",
         "input": args.pda,
@@ -448,15 +409,15 @@ def cmd_bisim_finite(args, out):
         "level": comparison.level,
         "root": _eqlevel_doc(comparison.root),
     }
+    if comparison.unmatched:
+        report["unmatched"] = comparison.unmatched[0].as_config().format()
+    if comparison.counterexample is not None and not comparison.equivalent:
+        report["counterexample"] = comparison.counterexample.format()
+    lines = []
+    _say(lines, report, "configuration", "state", "equivalent", "level")
     if comparison.root.is_finite:
         lines.append("root level: %d" % (comparison.root.value,))
-    if comparison.unmatched:
-        probe = comparison.unmatched[0].as_config()
-        lines.append("unmatched: %s" % (probe.format(),))
-        report["unmatched"] = probe.format()
-    if comparison.counterexample is not None and not comparison.equivalent:
-        lines.append("counterexample: %s" % (comparison.counterexample.format(),))
-        report["counterexample"] = comparison.counterexample.format()
+    _say(lines, report, "unmatched", "counterexample")
 
     def cert_doc():
         if comparison.equivalent:
@@ -513,12 +474,6 @@ def cmd_witness_verify(args, out):
         )
     (pda, start, witness, config) = certs.witness_from_document(doc)
     check = verify_witness(pda, witness, config)
-    lines = [
-        "verdict: %s" % (check.verdict,),
-        "bound: %d" % (check.bound,),
-        "certified: %s" % ("true" if check.certified else "false",),
-        "reason: %s" % (check.reason,),
-    ]
     report = {
         "command": "witness-verify",
         "input": args.cert,
@@ -530,6 +485,8 @@ def cmd_witness_verify(args, out):
             (copies, r.value if r.is_finite else None) for (copies, r) in check.corroboration
         ],
     }
+    lines = []
+    _say(lines, report, "verdict", "bound", "certified", "reason")
     _emit(args, lines, report, out)
     if check.verdict == "verified" and check.certified:
         return 0
@@ -541,11 +498,6 @@ def cmd_witness_verify(args, out):
 def cmd_certcheck(args, out):
     doc = certs.loads(_read(args.cert))
     result = certs.check_document(doc)
-    lines = [
-        "kind: %s" % (result.kind,),
-        "ok: %s" % ("true" if result.ok else "false",),
-        "detail: %s" % (result.detail,),
-    ]
     report = {
         "command": "certcheck",
         "input": args.cert,
@@ -553,6 +505,8 @@ def cmd_certcheck(args, out):
         "ok": result.ok,
         "detail": result.detail,
     }
+    lines = []
+    _say(lines, report, "kind", "ok", "detail")
     _emit(args, lines, report, out)
     return 0 if result.ok else 1
 

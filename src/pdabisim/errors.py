@@ -4,16 +4,15 @@
 class InputError(ValueError):
     """Raised for malformed or undeclared input data.
 
-    Parse errors carry an optional source position so the CLI can point at
-    the offending line.
+    Parse errors carry an optional source line so the CLI can point at the
+    offending line.
     """
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class BudgetError(RuntimeError):

@@ -49,8 +49,6 @@ class SuccessorOracle:
     itself; richer systems may collapse states that agree to that depth).
     """
 
-    actions = frozenset()
-
     def successors(self, state):
         raise NotImplementedError
 
@@ -71,7 +69,6 @@ class FiniteLtsOracle(SuccessorOracle):
 
     def __init__(self, lts):
         self.lts = lts
-        self.actions = lts.actions
         self._succ = lts.successor_map()
 
     def successors(self, state):
@@ -150,6 +147,7 @@ class GameContext:
         self.left = left
         self.right = right
         self._memo = {}
+        self._strategies = {}
         self._succ_l = {}
         self._succ_r = {}
 
@@ -199,8 +197,17 @@ class GameContext:
     def distinguish(self, s, t, k):
         """A winning attacker strategy for (s, t) at depth <= k.
 
-        Pre: not self.bisim(s, t, k).
+        Pre: not self.bisim(s, t, k).  Strategies are memoised per concrete
+        (s, t, k), so replies that reach the same pair share one sub-strategy
+        and the result is a graph of distinct positions, not a tree.
         """
+        key = (s, t, k)
+        got = self._strategies.get(key)
+        if got is None:
+            got = self._strategies[key] = self._distinguish(s, t, k)
+        return got
+
+    def _distinguish(self, s, t, k):
         assert k >= 1
         ls = self._lsucc(s)
         rs = self._rsucc(t)

@@ -265,7 +265,6 @@ class PdaOracle(SuccessorOracle):
 
     def __init__(self, pda):
         self.pda = pda
-        self.actions = pda.actions
 
     def successors(self, config):
         return step(self.pda, config)

@@ -378,39 +378,6 @@ def reach_automaton(pda, start):
     return poststar(norm, start, mapping)
 
 
-def member(aut, config):
-    """Is the (finite-stack, original-symbol) configuration reachable?
-
-    Composite edge symbols are matched through their expansions, so the query
-    vocabulary is the original pda's.  Unknown controls simply yield False.
-    """
-    if not config.stack.is_finite:
-        raise InputError("membership queries need a finite stack")
-    start = aut.entry(config.control)
-    if start is None:
-        return False
-    word = config.stack.prefix
-    adj = aut.adjacency()
-    todo = [(start, 0)]
-    seen = {(start, 0)}
-    while todo:
-        (state, pos) = todo.pop()
-        if pos == len(word) and state in aut.finals:
-            return True
-        for (label, dst) in adj.get(state, ()):
-            if label == EPS:
-                nxt = (dst, pos)
-            else:
-                flat = aut.flatten(label)
-                if word[pos : pos + len(flat)] != flat:
-                    continue
-                nxt = (dst, pos + len(flat))
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return False
-
-
 def _backward(edges, targets):
     """States from which some state of ``targets`` is reachable along ``edges``."""
     rev = {}

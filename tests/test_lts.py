@@ -54,6 +54,20 @@ def test_chain_states_separate_at_their_depth():
     assert got.certificate.depth() == 2
 
 
+def test_replies_reaching_one_position_share_its_strategy():
+    # s does a.a.b; t's two a-replies t1, t2 both lead to v, which stops, so
+    # both branches of the strategy end in the same position (u, v, 1)
+    left = make_lts(["s", "s1", "u", "w"], ["a", "b"],
+                    [("s", "a", "s1"), ("s1", "a", "u"), ("u", "b", "w")])
+    right = make_lts(["t", "t1", "t2", "v"], ["a", "b"],
+                     [("t", "a", "t1"), ("t", "a", "t2"), ("t1", "a", "v"), ("t2", "a", "v")])
+    got = eqlevel(FiniteLtsOracle(left), "s", FiniteLtsOracle(right), "t", 10)
+    assert (got.kind, got.value) == ("finite", 2)
+    ((r1, via_t1), (r2, via_t2)) = got.certificate.replies
+    assert (r1, r2) == ("t1", "t2")
+    assert via_t1.replies[0][1] is via_t2.replies[0][1]
+
+
 def test_eqlevel_reports_at_least_on_agreement():
     one = make_lts(["v"], ["a"], [("v", "a", "v")])
     o = FiniteLtsOracle(one)

@@ -13,7 +13,6 @@ from pdabisim import (
     StackWord,
     TruncatedConfig,
     certs,
-    member,
     normalize_rules,
     poststar,
     reachable_truncations,
@@ -29,6 +28,7 @@ from pdabisim.reachability import (
 )
 
 from oracles import (
+    automaton_accepts,
     bounded_reachable,
     closure_violations,
     dense_pda,
@@ -46,24 +46,18 @@ def fin(control, *symbols):
 
 def test_counter_membership(counter, counter_start):
     aut = poststar(counter, counter_start)
-    assert member(aut, fin("p", "X"))
-    assert member(aut, fin("p", "A", "X"))
-    assert member(aut, fin("p", "A", "A", "A", "A", "X"))
-    assert not member(aut, fin("p"))
-    assert not member(aut, fin("p", "A"))
-    assert not member(aut, fin("p", "X", "A"))
-    assert not member(aut, fin("p", "X", "X"))
-
-
-def test_membership_needs_finite_stack(counter, counter_start):
-    aut = poststar(counter, counter_start)
-    with pytest.raises(InputError):
-        member(aut, Config("p", StackWord.repeating(("A",), ("A",))))
+    assert automaton_accepts(aut, "p", ("X",))
+    assert automaton_accepts(aut, "p", ("A", "X"))
+    assert automaton_accepts(aut, "p", ("A", "A", "A", "A", "X"))
+    assert not automaton_accepts(aut, "p", ())
+    assert not automaton_accepts(aut, "p", ("A",))
+    assert not automaton_accepts(aut, "p", ("X", "A"))
+    assert not automaton_accepts(aut, "p", ("X", "X"))
 
 
 def test_unknown_control_is_simply_unreachable(counter, counter_start):
     aut = poststar(counter, counter_start)
-    assert not member(aut, fin("zz", "X"))
+    assert not automaton_accepts(aut, "zz", ("X",))
 
 
 def test_counter_truncations(counter, counter_start):
@@ -91,7 +85,7 @@ def test_completion_realizes_truncations(counter, counter_start):
             got = completion(aut, trunc, depth=depth)
             assert got is not None
             assert truncate(got, depth) == trunc
-            assert member(aut, got)
+            assert automaton_accepts(aut, got.control, got.stack.prefix)
 
 
 def test_completion_of_unreachable_prefix_is_none(counter, counter_start):
@@ -102,8 +96,8 @@ def test_completion_of_unreachable_prefix_is_none(counter, counter_start):
 def test_growing_membership(growing, growing_start):
     aut = poststar(growing, growing_start)
     for n in range(1, 6):
-        assert member(aut, fin("p", *["X"] * n))
-    assert not member(aut, fin("p"))
+        assert automaton_accepts(aut, "p", ("X",) * n)
+    assert not automaton_accepts(aut, "p", ())
 
 
 def test_skeleton_is_before_saturation(counter):
@@ -134,7 +128,7 @@ def test_membership_agrees_with_bounded_search():
         aut = reach_automaton(pda, start)
         explored = bounded_reachable(pda, control, (bottom,), 6, 10)
         for (q, stack) in sorted(explored):
-            assert member(aut, fin(q, *stack))
+            assert automaton_accepts(aut, q, stack)
         abstract = prefix_reachable(pda, control, (bottom,), 4)
         for _ in range(40):
             q = rng.choice(sorted(pda.controls))
@@ -143,7 +137,7 @@ def test_membership_agrees_with_bounded_search():
                 for _ in range(rng.randint(0, 5))
             )
             if prefix_unreachable(abstract, q, stack, 4):
-                assert not member(aut, fin(q, *stack))
+                assert not automaton_accepts(aut, q, stack)
 
 
 def test_truncations_match_bounded_search():
@@ -312,7 +306,7 @@ def test_saturation_around_a_periodic_cycle_of_pops():
 
 def test_cached_lookups_leave_equality_and_hash_alone(twocycle, twocycle_start):
     aut = poststar(twocycle, twocycle_start)
-    assert member(aut, fin("q", "A", "X"))
+    assert completion(aut, TruncatedConfig("q", ("A", "X"))) is not None
     assert reachable_truncations(aut, 2)
     assert aut.entry("p") == "c:p" and aut.flatten("A") == ("A",)
     again = certs.automaton_from(certs.automaton_doc(aut))
