@@ -348,7 +348,9 @@ def _read_document(doc, kind, reader):
         return reader(doc)
     except InputError:
         raise
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError("malformed %s document: missing field %r" % (kind, exc.args[0]))
+    except (TypeError, AttributeError, ValueError) as exc:
         raise InputError("malformed %s document: %r" % (kind, exc))
 
 

@@ -64,8 +64,11 @@ def _read_lines(text, header, noun, once):
 def parse_pda(text):
     """Parse the pda file format; returns (Pda, initial Config).
 
-    ``#`` starts a comment; blank lines are ignored.  Everything must be
-    declared before use; repeated sections and duplicate rules are rejected.
+    ``#`` starts a comment; blank lines are ignored.  Rules may come
+    before or after the declarations: the names in the rules and in
+    ``init:`` are checked against the declarations once the whole file is
+    read.  Malformed rules, repeated sections and duplicate rules are
+    rejected at the line where they occur, during the scan.
     """
     decl = {}
     init_line = None

@@ -29,11 +29,12 @@ from .lts import (
     refine_blocks,
     region,
 )
-from .pda import Config, PdaOracle, StackWord, step, validate_config
+from .pda import Config, PdaOracle, StackWord, TruncatedConfig, step, validate_config
 from .reachability import (
     TRUNCATION_DEPTH_LIMIT,
     completion,
     reach_automaton,
+    reachable_key_cuts,
     reachable_truncations,
 )
 from .transformers import apply_set_transformer, cached_transformers, period_iteration
@@ -404,12 +405,15 @@ class FiniteComparison:
     The configuration is equivalent to the state iff they agree for
     ``level`` rounds and every reachable depth-``level`` truncation agrees
     for ``level`` rounds with some state of the finite system.  ``matches``
-    lists those partners per truncation; a truncation without partners
-    refutes equivalence and ``counterexample`` is a reachable configuration
-    realizing it.  ``root`` holds the eq-level query between the inputs,
-    bounded by ``level``.  ``automaton`` is the post* automaton the
-    truncations were read off, or None when the root game refuted the pair
-    and no truncation was needed.
+    lists the partners once per reachable depth-``level`` game key, not
+    per truncation: its entry is the truncation holding just the key's
+    kept symbols, and every truncation with that key has the same partners.
+    ``unmatched`` lists every truncation without partners; any of them
+    refutes equivalence, and ``counterexample`` is a reachable
+    configuration realizing the first.  ``root`` holds the eq-level query
+    between the inputs, bounded by ``level``.  ``automaton`` is the post*
+    automaton the keys were read off, or None when the root game refuted
+    the pair and no key was needed.
     """
 
     equivalent: bool
@@ -418,7 +422,7 @@ class FiniteComparison:
     lts: object
     finite_state: str
     root: EqLevelResult
-    matches: tuple        # sorted ((truncation, (state, ...)), ...)
+    matches: tuple        # sorted ((key truncation, (state, ...)), ...)
     unmatched: tuple      # sorted truncations without any partner
     counterexample: object
     automaton: object
@@ -444,12 +448,14 @@ def _compare_with_finite(pda, config, lts, state, aut):
     ``aut`` must be ``reach_automaton(pda, config)``; a caller that already
     holds it saves the rebuild.
 
-    Each truncation is matched against every finite state by a ``level``
-    round game, but the partner tuple is computed once per pda game key.
-    That is exact: ``GameContext.bisim`` answers a pair from its memo entry
-    (level, pda key, finite key), since a pda key never equals a finite
-    one, so after the first truncation with a key has played every state,
-    any later truncation with that key gets the same answers.
+    The games are played once per pda game key, not once per truncation:
+    the reachable depth-``level`` keys come straight off ``aut``
+    (``reachable_key_cuts``), and each is played by its probe, the
+    configuration holding just the key's kept symbols.  That is exact:
+    configurations with one key at depth ``level`` are ``level``-bisimilar,
+    so every truncation with the key has the probe's partners.  Only when
+    some key has no partner are the truncations enumerated, to list those
+    whose key it is.
     """
     validate_config(pda, config)
     if state not in lts.states:
@@ -479,28 +485,27 @@ def _compare_with_finite(pda, config, lts, state, aut):
         )
     if aut is None:
         aut = reach_automaton(pda, config)
-    truncations = sorted(
-        reachable_truncations(aut, level), key=lambda t: (t.control, t.prefix)
-    )
     states = sorted(lts.states)
-    partners_of = {}        # pda game key -> partner tuple
     matches = []
-    unmatched = []
-    for trunc in truncations:
-        probe = trunc.as_config()
-        key = pda_oracle.game_key(probe, level)
-        partners = partners_of.get(key)
-        if partners is None:
-            partners = tuple(
-                g
-                for g in states
-                if bounded_bisim(pda_oracle, probe, fin_oracle, g, level, ctx=ctx)
-            )
-            partners_of[key] = partners
+    unmatched_keys = set()
+    for (control, kept) in sorted(reachable_key_cuts(aut, pda_oracle.floors, level)):
+        probe = Config(control, StackWord.finite(kept))
+        partners = tuple(
+            g
+            for g in states
+            if bounded_bisim(pda_oracle, probe, fin_oracle, g, level, ctx=ctx)
+        )
         if partners:
-            matches.append((trunc, partners))
+            matches.append((TruncatedConfig(control, kept), partners))
         else:
-            unmatched.append(trunc)
+            unmatched_keys.add(pda_oracle.game_key(probe, level))
+    unmatched = []
+    if unmatched_keys:
+        unmatched = [
+            t
+            for t in sorted(reachable_truncations(aut, level))
+            if pda_oracle.game_key(t.as_config(), level) in unmatched_keys
+        ]
     equivalent = not unmatched
     witness = completion(aut, unmatched[0], level) if unmatched else None
     return FiniteComparison(

@@ -238,11 +238,15 @@ def eqlevel(oracle1, s, oracle2, t, cutoff, ctx=None):
 
     Finite(k) comes with a winning attacker strategy of depth k+1; if the
     states agree all the way up to the cutoff the result is AtLeast(cutoff).
+    Two states without moves agree at every level, so they get
+    AtLeast(cutoff) without a game.
     """
     if cutoff < 1:
         raise InputError("cutoff must be >= 1, got %r" % (cutoff,))
     if ctx is None:
         ctx = GameContext(oracle1, oracle2)
+    if not ctx._lsucc(s) and not ctx._rsucc(t):
+        return EqLevelResult.at_least(cutoff)
     for k in range(1, cutoff + 1):
         if not ctx.bisim(s, t, k):
             return EqLevelResult.finite(k - 1, ctx.distinguish(s, t, k))

@@ -13,7 +13,6 @@ sequence.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -270,23 +269,29 @@ class PdaOracle(SuccessorOracle):
         return step(self.pda, config)
 
     @functools.cached_property
-    def _floors(self):
+    def floors(self):
+        """symbol -> fewest moves that pop it; symbols never popped are absent."""
         return cached_transformers(self.pda).pop_floors()
 
     def game_key(self, config, depth):
-        floors = self._floors
-        kept = []
+        floors = self.floors
+        (prefix, period) = (config.stack.prefix, config.stack.period)
         cost = 0
-        stack = config.stack
-        for sym in itertools.chain(stack.prefix, itertools.cycle(stack.period)):
-            if cost >= depth:
+        i = 0
+        while cost < depth:
+            if i < len(prefix):
+                sym = prefix[i]
+            elif period:
+                sym = period[(i - len(prefix)) % len(period)]
+            else:
                 break
-            kept.append(sym)
+            i += 1
             floor = floors.get(sym)
             if floor is None:
                 break
             cost += floor
-        return (id(self.pda), config.control, tuple(kept))
+        kept = prefix[:i] if i <= len(prefix) else config.stack.expand(i)
+        return (id(self.pda), config.control, kept)
 
 
 def _fresh_symbol(base, taken):

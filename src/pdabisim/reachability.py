@@ -14,15 +14,18 @@ edges out of a state with one label are one bitmask of destinations, and a
 popped worklist key fires a whole batch of new destinations at once.
 ``reachable_truncations`` reads the depth-k cuts off the automaton by
 suffix: the cuts below each state are enumerated once per (state, depth)
-and shared by every prefix leading there.
+and shared by every prefix leading there.  ``reachable_key_cuts`` reads
+the depth-k pop-horizon game keys off it the same way, spending each
+symbol's pop cost instead of its length, so the games of a comparison are
+played once per key without listing the (often far more) truncations.
 ``saturation_edges`` is the naive sweep over every rule; nothing on the fast
 path uses it, so a certificate checker can verify closure independently of
 how the automaton was produced.
 
 ``reach_automaton`` normalizes a pda and then saturates.  Nothing here is
-cached: an automaton and the truncation sets read off it live exactly as
-long as the caller that built them (``PositiveSearch`` builds one per
-search and enumerates each truncation depth once).
+cached: an automaton and the cut sets read off it live exactly as long as
+the caller that built them (``PositiveSearch`` builds one per search and
+enumerates each key depth once).
 
 Naive truncated-graph exploration is unsound here: popping below a truncation
 exposes symbols the truncation never recorded.  The automaton view does not
@@ -393,6 +396,34 @@ def _backward(edges, targets):
     return seen
 
 
+def _reading_edges(aut, k):
+    """(coaccessible states, silent edges, reading edges) for a depth-k enumeration.
+
+    Both maps hold only edges into coaccessible states: ``silent`` maps a
+    state to its silent destinations, ``reads`` to its (word, dst) pairs in
+    original symbols.  A depth past 12 raises BudgetError.
+    """
+    if k < 0:
+        raise InputError("truncation depth must be >= 0, got %r" % (k,))
+    if k > TRUNCATION_DEPTH_LIMIT:
+        raise BudgetError(
+            "truncation depth %d exceeds the guardrail of %d"
+            % (k, TRUNCATION_DEPTH_LIMIT)
+        )
+    coacc = _backward(aut.edges, aut.finals | {s for (s, _) in aut.live})
+    silent = {}
+    reads = {}
+    for (src, label, dst) in aut.edges:
+        if dst not in coacc:
+            continue
+        word = aut.flatten(label) if label != EPS else ()
+        if word:
+            reads.setdefault(src, []).append((word, dst))
+        else:
+            silent.setdefault(src, []).append((EPS, dst))
+    return (coacc, silent, reads)
+
+
 def reachable_truncations(aut, k):
     """Exactly { truncate(c, k) : c reachable }, in original symbols.
 
@@ -409,24 +440,7 @@ def reachable_truncations(aut, k):
     whatever the automaton; the closure is a plain search.  Shared suffixes
     are enumerated once instead of once per prefix reaching them.
     """
-    if k < 0:
-        raise InputError("truncation depth must be >= 0, got %r" % (k,))
-    if k > TRUNCATION_DEPTH_LIMIT:
-        raise BudgetError(
-            "truncation depth %d exceeds the guardrail of %d"
-            % (k, TRUNCATION_DEPTH_LIMIT)
-        )
-    coacc = _backward(aut.edges, aut.finals | {s for (s, _) in aut.live})
-    silent = {}
-    reads = {}              # state -> [(word, dst), ...] edges into coacc
-    for (src, label, dst) in aut.edges:
-        if dst not in coacc:
-            continue
-        word = aut.flatten(label) if label != EPS else ()
-        if word:
-            reads.setdefault(src, []).append((word, dst))
-        else:
-            silent.setdefault(src, []).append((EPS, dst))
+    (_, silent, reads) = _reading_edges(aut, k)
     memo = {}
 
     def cuts(state, j):
@@ -448,6 +462,53 @@ def reachable_truncations(aut, k):
         TruncatedConfig(control, prefix)
         for (control, start) in aut.entries
         for prefix in cuts(start, k)
+    }
+
+
+def reachable_key_cuts(aut, floors, k):
+    """The depth-k pop-horizon keys of the reachable configurations.
+
+    ``floors`` maps each original symbol to the fewest moves that pop it
+    (``PdaOracle.floors``).  Returns {(control, kept)}, exactly the
+    ``PdaOracle.game_key(c, k)`` of every reachable c without its pda
+    part, and therefore of every reachable depth-k truncation.  A depth
+    past 12 raises BudgetError.
+
+    The enumeration is ``reachable_truncations``' suffix memo with the
+    remaining pop cost as the budget instead of the remaining length:
+    reading symbol X spends ``floors[X]``, a cut ends right after the symbol
+    that uses the budget up or after a symbol with no floor, and a cut is
+    ``()`` at a final state.  Every floor is at least 1, so the budget falls
+    on every reading edge and the recursion is at most k deep.  Many
+    truncations share one key, so there are far fewer cuts to enumerate.
+    """
+    (coacc, silent, reads) = _reading_edges(aut, k)
+    if k == 0:
+        return {(control, ()) for (control, start) in aut.entries if start in coacc}
+    memo = {}
+
+    def cuts(state, budget):
+        got = memo.get((state, budget))
+        if got is not None:
+            return got
+        closure = _eps_closure(silent, (state,))
+        got = set() if aut.finals.isdisjoint(closure) else {()}
+        for s in closure:
+            for (word, dst) in reads.get(s, ()):
+                rest = budget
+                for (i, sym) in enumerate(word):
+                    floor = floors.get(sym)
+                    if floor is None or floor >= rest:
+                        got.add(word[: i + 1])
+                        break
+                    rest -= floor
+                else:
+                    got.update([word + t for t in cuts(dst, rest)])
+        memo[(state, budget)] = got
+        return got
+
+    return {
+        (control, kept) for (control, start) in aut.entries for kept in cuts(start, k)
     }
 
 

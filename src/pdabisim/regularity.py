@@ -16,7 +16,7 @@ other:
   each loop into a pumping witness with a computed separation bound, and
   checks the witness by replaying it; a verified witness proves that no
   finite system is equivalent;
-* the positive side partitions reachable truncations by bounded games at
+* the positive side partitions reachable game keys by bounded games at
   increasing depths, and whenever two consecutive depths agree it proposes
   the induced finite system, whose correctness is then decided exactly.
 
@@ -35,12 +35,11 @@ from .pda import (
     Config,
     PdaOracle,
     StackWord,
-    TruncatedConfig,
     canonicalize,
     step,
     validate_config,
 )
-from .reachability import TRUNCATION_DEPTH_LIMIT, reach_automaton, reachable_truncations
+from .reachability import TRUNCATION_DEPTH_LIMIT, reach_automaton, reachable_key_cuts
 from .equivalence import (
     _compare_with_finite,
     bisim_pda_vs_finite,
@@ -524,15 +523,18 @@ def verify_witness(pda, witness, config=AnalysisConfig()):
 class PositiveSearch:
     """Level-by-level attempts to exhibit an equivalent finite system.
 
-    At depth n the reachable truncations are partitioned by n-round games,
-    at depth n+1 by (n+1)-round games.  When the two partitions agree (same
-    count, truncation-consistent blocks), the quotient induces a finite
-    system candidate, and the candidate is handed to the exact decision
-    procedure.  Only that final gate establishes anything; the stabilization
-    heuristic merely proposes.
+    At depth n the reachable game keys are partitioned by n-round games, at
+    depth n+1 by (n+1)-round games.  Each key is played by its probe, the
+    configuration holding just the key's kept symbols; configurations with
+    one key are bisimilar to the key's depth, so a probe stands for every
+    reachable truncation with its key.  When the two partitions agree (same
+    count, key-consistent blocks), the quotient induces a finite system
+    candidate, and the candidate is handed to the exact decision procedure.
+    Only that final gate establishes anything; the stabilization heuristic
+    merely proposes.
 
     The search builds its reachability automaton on the first attempt and
-    keeps it.  Each attempt's depth-(n+1) truncations are the next attempt's
+    keeps it.  Each attempt's depth-(n+1) keys are the next attempt's
     depth-n ones, so every depth is enumerated once.
     """
 
@@ -545,44 +547,36 @@ class PositiveSearch:
         self.oracle = PdaOracle(pda)
         self.ctx = GameContext(self.oracle, self.oracle)
         self._aut = None
-        self._upper = None      # the last attempt's depth-(n+1) truncations
+        self._upper = None      # the last attempt's depth-(n+1) keys
 
     @property
     def exhausted(self):
         return self.level >= self.max_level
 
-    def _partition(self, truncations, depth):
-        """Classes of ``truncations`` under ``depth``-round games, first-rep order.
+    def _partition(self, cuts, depth):
+        """Probe classes of the keys ``cuts`` under ``depth``-round games.
 
-        Each truncation joins the class of the first representative it
-        agrees with, or starts a new class.  Only the first truncation per
-        game key is classified; the rest reuse its class.  That is exact:
-        a later truncation with the same key gets the same memoized answer
-        against every earlier representative, and if the first one became a
-        representative itself, the keys are equal and the game answers yes.
+        Keys are taken in sorted order; each probe joins the class of the
+        first representative it agrees with, or starts a new class.  A key
+        is a prefix of every truncation with that key, so sorted keys come
+        in the order their first truncations do, and the classes and their
+        order are those of the sorted truncations.
         """
         classes = []
         reps = []
-        class_of = {}           # game key -> class index
-        for trunc in sorted(truncations, key=lambda t: (t.control, t.prefix)):
-            config = trunc.as_config()
-            key = self.oracle.game_key(config, depth)
-            i = class_of.get(key)
+        for (control, kept) in sorted(cuts):
+            probe = Config(control, StackWord.finite(kept))
+            i = self._classify(probe, reps, depth)
             if i is None:
-                i = self._classify(config, reps, depth)
-                if i is None:
-                    i = len(reps)
-                    reps.append(trunc)
-                    classes.append([])
-                class_of[key] = i
-            classes[i].append(trunc)
+                reps.append(probe)
+                classes.append([probe])
+            else:
+                classes[i].append(probe)
         return classes
 
     def _classify(self, config, reps, depth):
         for (i, rep) in enumerate(reps):
-            if bounded_bisim(
-                self.oracle, config, self.oracle, rep.as_config(), depth, ctx=self.ctx
-            ):
+            if bounded_bisim(self.oracle, config, self.oracle, rep, depth, ctx=self.ctx):
                 return i
         return None
 
@@ -598,11 +592,12 @@ class PositiveSearch:
         n = self.level
         if self._aut is None:
             self._aut = reach_automaton(self.pda, self.start)
+        floors = self.oracle.floors
         try:
             lower = self._upper
             if lower is None:
-                lower = reachable_truncations(self._aut, n)
-            upper = reachable_truncations(self._aut, n + 1)
+                lower = reachable_key_cuts(self._aut, floors, n)
+            upper = reachable_key_cuts(self._aut, floors, n + 1)
         except BudgetError:
             self.level = self.max_level
             return None
@@ -611,13 +606,15 @@ class PositiveSearch:
         upp_classes = self._partition(upper, n + 1)
         if len(low_classes) != len(upp_classes):
             return None
+        # a probe's depth-n key is its own at depth n, and the depth-n key
+        # of everything a depth-(n+1) probe stands for
         low_index = {}
         for (i, members) in enumerate(low_classes):
-            for t in members:
-                low_index[t] = i
+            for probe in members:
+                low_index[self.oracle.game_key(probe, n)] = i
         projection = {}
         for (ui, members) in enumerate(upp_classes):
-            images = {low_index[TruncatedConfig(t.control, t.prefix[:n])] for t in members}
+            images = {low_index[self.oracle.game_key(p, n)] for p in members}
             if len(images) != 1:
                 return None
             projection[ui] = images.pop()
@@ -630,7 +627,7 @@ class PositiveSearch:
         for (ui, members) in enumerate(upp_classes):
             rep = members[0]
             src = names[projection[ui]]
-            for (act, succ) in step(self.pda, rep.as_config()):
+            for (act, succ) in step(self.pda, rep):
                 j = self._classify(succ, low_reps, n)
                 if j is None:
                     return None

@@ -226,6 +226,24 @@ def test_counter_rejected_by_truncation_sweep(counter):
     assert got.counterexample == fin("p", "A", "A", "X")
 
 
+def test_two_dead_configurations_skip_the_climb():
+    pda = Pda(
+        frozenset("pq"), frozenset("X"), frozenset("a"), (Rule("p", "X", "a", "q", ()),)
+    )
+    (left, right) = (fin("q"), fin("p"))
+    oracle = PdaOracle(pda)
+    ctx = GameContext(oracle, oracle)
+    got = eqlevel(oracle, left, oracle, right, 64, ctx=ctx)
+    assert (got.kind, got.value) == ("at_least", 64)
+    assert ctx._memo == {}
+    # the certification ladder still runs and proves the pair bisimilar
+    got = eqlevel_configs(pda, left, right, cutoff=64)
+    assert got.is_omega
+    assert got.certificate.kind == "finite-graph"
+    doc = certs.eq_level_document(pda, left, right, got)
+    assert certs.check_document(certs.loads(certs.dumps(doc))).ok
+
+
 def plain_comparison(pda, config, lts, state):
     """(matches, unmatched, counterexample), one game per (truncation, state)."""
     level = len(lts.states)
@@ -312,9 +330,17 @@ def test_grouped_comparison_equals_one_game_per_pair():
     seen = set()
     for (pda, start, lts, state) in cases:
         got = bisim_pda_vs_finite(pda, start, lts, state)
-        want = plain_comparison(pda, start, lts, state)
-        assert (got.matches, got.unmatched, got.counterexample) == want
-        assert got.equivalent == (not want[1] and got.root.kind == "at_least")
+        (matches, unmatched, counterexample) = plain_comparison(pda, start, lts, state)
+        # one entry per game key, holding the partners of every truncation with that key
+        oracle = PdaOracle(pda)
+        of_key = {}
+        for (trunc, partners) in matches:
+            (_, control, kept) = oracle.game_key(trunc.as_config(), got.level)
+            assert of_key.setdefault(TruncatedConfig(control, kept), partners) == partners
+        assert dict(got.matches) == of_key
+        assert [t for (t, _) in got.matches] == sorted(of_key)
+        assert (got.unmatched, got.counterexample) == (unmatched, counterexample)
+        assert got.equivalent == (not unmatched and got.root.kind == "at_least")
         seen.add((got.equivalent, got.root.kind))
     assert seen == {(True, "at_least"), (False, "at_least"), (False, "finite")}
 

@@ -9,6 +9,7 @@ from pdabisim import (
     Config,
     InputError,
     Pda,
+    PdaOracle,
     Rule,
     StackWord,
     TruncatedConfig,
@@ -24,6 +25,7 @@ from pdabisim.reachability import (
     ConfigAutomaton,
     initial_skeleton,
     reach_automaton,
+    reachable_key_cuts,
     saturation_edges,
 )
 
@@ -204,6 +206,26 @@ def test_truncations_equal_the_forward_walk():
     assert sum(label == "" for (_, label, _) in aut.edges) > 100
     for k in range(6):
         assert reachable_truncations(aut, k) == naive_truncations(aut, k), k
+
+
+def test_key_cuts_are_the_keys_of_the_truncations():
+    rng = random.Random(45)
+    (keys, truncations, composite_edges) = (0, 0, 0)
+    for i in range(90):
+        pda = random_pda(rng, 4, 4, 12)
+        aut = reach_automaton(pda, random_start(rng, pda, ("finite", "periodic")[i % 2]))
+        composite = {sym for (sym, _) in aut.expansions}
+        composite_edges += sum(label in composite for (_, label, _) in aut.edges)
+        oracle = PdaOracle(pda)
+        for k in range(6):
+            found = naive_truncations(aut, k)
+            want = {oracle.game_key(t.as_config(), k)[1:] for t in found}
+            assert reachable_key_cuts(aut, oracle.floors, k) == want, (i, k)
+            (keys, truncations) = (keys + len(want), truncations + len(found))
+    assert composite_edges > 0
+    assert keys < truncations
+    with pytest.raises(BudgetError):
+        reachable_key_cuts(aut, oracle.floors, TRUNCATION_DEPTH_LIMIT + 1)
 
 
 def test_an_empty_expansion_reads_as_silent():

@@ -25,9 +25,10 @@ from pdabisim import (
     verify_witness,
 )
 from pdabisim import certs, equivalence, regularity
+from pdabisim.reachability import reach_automaton, reachable_key_cuts
 from pdabisim.regularity import NormedEvidence, PositiveSearch, pumped_config
 
-from oracles import random_pda
+from oracles import naive_truncations, random_pda
 
 
 def fin(control, *symbols):
@@ -146,23 +147,58 @@ def test_positive_search_enumerates_each_depth_once(monkeypatch, counter, counte
     built = []
     depths = []
     build = regularity.reach_automaton
-    enumerate_depth = regularity.reachable_truncations
+    enumerate_depth = regularity.reachable_key_cuts
 
     def counting_build(pda, start):
         built.append(start)
         return build(pda, start)
 
-    def counting_depth(aut, k):
+    def counting_depth(aut, floors, k):
         depths.append(k)
-        return enumerate_depth(aut, k)
+        return enumerate_depth(aut, floors, k)
 
     monkeypatch.setattr(regularity, "reach_automaton", counting_build)
-    monkeypatch.setattr(regularity, "reachable_truncations", counting_depth)
+    monkeypatch.setattr(regularity, "reachable_key_cuts", counting_depth)
     search = PositiveSearch(counter, counter_start)
     for _ in range(4):
         assert search.attempt() is None
     assert built == [counter_start]
     assert depths == [1, 2, 3, 4, 5]
+
+
+def test_probe_classes_expand_to_the_truncation_classes():
+    rng = random.Random(47)
+    (shared, split) = (0, 0)
+    for _ in range(40):
+        pda = random_pda(rng, 3, 3, 8)
+        start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+        search = PositiveSearch(pda, start)
+        oracle = search.oracle
+        aut = reach_automaton(pda, start)
+        for depth in (1, 2, 3):
+            truncations = sorted(naive_truncations(aut, depth))
+            reference = []
+            for t in truncations:
+                for members in reference:
+                    if search.ctx.bisim(t.as_config(), members[0].as_config(), depth):
+                        members.append(t)
+                        break
+                else:
+                    reference.append([t])
+            cuts = reachable_key_cuts(aut, oracle.floors, depth)
+            classes = search._partition(cuts, depth)
+            class_of = {
+                oracle.game_key(probe, depth): i
+                for (i, members) in enumerate(classes)
+                for probe in members
+            }
+            expanded = [[] for _ in classes]
+            for t in truncations:
+                expanded[class_of[oracle.game_key(t.as_config(), depth)]].append(t)
+            assert expanded == reference
+            shared += len(truncations) - len(cuts)
+            split += len(classes) > 1
+    assert shared > 0 and split > 0
 
 
 def test_regular_verdict_frees_its_automaton():
