@@ -36,7 +36,7 @@ import json
 
 from .config import AnalysisConfig
 from .errors import BudgetError, InputError
-from .lts import FiniteLts, FiniteLtsOracle, GameContext, eqlevel
+from .lts import FiniteLts, FiniteLtsOracle, GameContext
 from .pda import (
     Config,
     Pda,
@@ -550,7 +550,7 @@ def _check_regular(doc):
     pda_oracle = PdaOracle(pda)
     fin_oracle = FiniteLtsOracle(lts)
     ctx = GameContext(pda_oracle, fin_oracle)
-    root = eqlevel(pda_oracle, start, fin_oracle, state, level, ctx=ctx)
+    root = ctx.level(start, state, level)
     if root.is_finite:
         return CheckResult(
             False, "regular", "the start pair differs at level %d already" % (root.value,)

@@ -316,15 +316,30 @@ def eqlevel_configs(
     certification ladder runs; its success turns the answer into Omega with
     a self-covering relation, otherwise the honest AtLeast(cutoff) stands.
     """
+    return _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, _strategy_climb)
+
+
+def _strategy_climb(ctx, left, right, cutoff):
+    return eqlevel(ctx.left, left, ctx.right, right, cutoff, ctx=ctx)
+
+
+def _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, climb):
+    """The ladder of ``eqlevel_configs``, climbing the levels with ``climb``.
+
+    ``climb(ctx, left, right, cutoff)`` is ``_strategy_climb`` where the
+    strategy is kept, or ``GameContext.level`` for a caller that reads only
+    the level; a Finite answer of the latter carries no strategy, though one
+    from the finite-graph route still does.
+    """
     validate_config(pda, left)
     validate_config(pda, right)
     equal = _certify_equal(AbsorbingOracle(pda), left, right)
     if equal is not None:
         return equal
-    oracle = PdaOracle(pda)
     if ctx is None:
+        oracle = PdaOracle(pda)
         ctx = GameContext(oracle, oracle)
-    bounded = eqlevel(oracle, left, oracle, right, cutoff, ctx=ctx)
+    bounded = climb(ctx, left, right, cutoff)
     if bounded.is_finite:
         return bounded
     certified = certify_bisimilar(
@@ -357,7 +372,8 @@ def limit_level_bound(pda, control, top, period, config=AnalysisConfig()):
     control-set images to find the preperiod, cycle length and stable image
     L; then compare every configuration within the derivation radius of the
     limit against the limit configurations of L, recording the largest
-    finite equivalence level.  The games stop at ``config.cutoff``, the
+    finite equivalence level.  Only the levels are read, so the climbs
+    build no attacker strategy.  The games stop at ``config.cutoff``, the
     region at ``config.region_cap`` states, and each relation search at
     ``config.pump_omega_budget`` pairs.  Returns (LevelBound,
     PeriodIteration).
@@ -384,7 +400,7 @@ def limit_level_bound(pda, control, top, period, config=AnalysisConfig()):
     for near in sorted(around, key=Config.sort_key):
         for lim in limits:
             pairs += 1
-            got = eqlevel(oracle, near, oracle, lim, config.cutoff, ctx=ctx)
+            got = ctx.level(near, lim, config.cutoff)
             if got.is_finite:
                 value = max(value, got.value)
                 continue

@@ -105,9 +105,9 @@ class EqLevelResult:
     """Outcome of an eq-level query.
 
     kind is one of "finite" (states differ at round value+1, certificate is a
-    Strategy), "at_least" (no difference found up to the cutoff), or "omega"
-    (proved bisimilar, certificate explains why; never produced by the plain
-    bounded engine).
+    Strategy, or None from a level-only climb), "at_least" (no difference
+    found up to the cutoff), or "omega" (proved bisimilar, certificate
+    explains why; never produced by the plain bounded engine).
     """
 
     kind: str
@@ -194,6 +194,22 @@ class GameContext:
                 return False
         return True
 
+    def level(self, s, t, cutoff):
+        """The eq-level of (s, t) up to ``cutoff``, without a strategy.
+
+        Climbs the rounds and stops at the first one that separates the
+        pair: Finite(k) carries no certificate, and ``distinguish(s, t,
+        k + 1)`` gives the strategy where one is kept.  Two states without
+        moves agree at every level, so they get AtLeast(cutoff) without a
+        game.
+        """
+        if not self._lsucc(s) and not self._rsucc(t):
+            return EqLevelResult.at_least(cutoff)
+        for k in range(1, cutoff + 1):
+            if not self.bisim(s, t, k):
+                return EqLevelResult.finite(k - 1)
+        return EqLevelResult.at_least(cutoff)
+
     def distinguish(self, s, t, k):
         """A winning attacker strategy for (s, t) at depth <= k.
 
@@ -236,21 +252,18 @@ def bounded_bisim(oracle1, s, oracle2, t, k, ctx=None):
 def eqlevel(oracle1, s, oracle2, t, cutoff, ctx=None):
     """The first level at which s and t disagree, bounded by ``cutoff``.
 
-    Finite(k) comes with a winning attacker strategy of depth k+1; if the
-    states agree all the way up to the cutoff the result is AtLeast(cutoff).
-    Two states without moves agree at every level, so they get
-    AtLeast(cutoff) without a game.
+    This is ``GameContext.level`` with the strategy attached: Finite(k)
+    comes with a winning attacker strategy of depth k+1; if the states agree
+    all the way up to the cutoff the result is AtLeast(cutoff).
     """
     if cutoff < 1:
         raise InputError("cutoff must be >= 1, got %r" % (cutoff,))
     if ctx is None:
         ctx = GameContext(oracle1, oracle2)
-    if not ctx._lsucc(s) and not ctx._rsucc(t):
-        return EqLevelResult.at_least(cutoff)
-    for k in range(1, cutoff + 1):
-        if not ctx.bisim(s, t, k):
-            return EqLevelResult.finite(k - 1, ctx.distinguish(s, t, k))
-    return EqLevelResult.at_least(cutoff)
+    got = ctx.level(s, t, cutoff)
+    if got.is_finite:
+        return EqLevelResult.finite(got.value, ctx.distinguish(s, t, got.value + 1))
+    return got
 
 
 def region(oracle, start, radius, max_states=None):

@@ -20,8 +20,11 @@ other:
   increasing depths, and whenever two consecutive depths agree it proposes
   the induced finite system, whose correctness is then decided exactly.
 
-The driver interleaves the two deterministically and reports whichever side
-wins, with the evidence needed to re-check the verdict offline.
+The driver interleaves the two deterministically, one positive level and
+then a batch of loop candidates per round, and reports whichever side wins,
+with the evidence needed to re-check the verdict offline.  The pump games
+of the negative side read eq-levels only: no attacker strategy is built for
+a level that no document keeps.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .pda import (
 from .reachability import TRUNCATION_DEPTH_LIMIT, reach_automaton, reachable_key_cuts
 from .equivalence import (
     _compare_with_finite,
+    _eqlevel_ladder,
     bisim_pda_vs_finite,
-    eqlevel_configs,
     limit_level_bound,
 )
 from .transformers import apply_set_transformer, cached_transformers
@@ -399,7 +402,9 @@ class WitnessCheck:
     or not at all); ``exhausted`` means the cutoff ran out first.
 
     ``corroboration`` holds the equivalence levels at bound, bound+cycle and
-    bound+2*cycle pumpings; ``corroborated`` is True when they are finite
+    bound+2*cycle pumpings.  Its results and ``base`` come from a level-only
+    climb, so a finite one carries no strategy (the witness document stores
+    only the base level).  ``corroborated`` is True when they are finite
     and strictly increasing, the signature of a genuinely infinite family.
     ``certified`` additionally requires the underlying level bound to be
     exact, making the verdict independent of every cutoff.
@@ -463,8 +468,9 @@ def verify_witness(pda, witness, config=AnalysisConfig()):
     """Re-check a witness from scratch.
 
     The loop is replayed first (``replay_loop``); then the equivalence
-    levels decide the verdict.  Malformed witnesses raise InputError;
-    well-formed ones always get a verdict.
+    levels decide the verdict.  They run the ladder of ``eqlevel_configs``
+    with a level-only climb, so no attacker strategy is built.  Malformed
+    witnesses raise InputError; well-formed ones always get a verdict.
     """
     validate_config(pda, witness.start)
     replay_loop(pda, witness.start, witness.loop)
@@ -477,8 +483,8 @@ def verify_witness(pda, witness, config=AnalysisConfig()):
     limit = witness.c_inf
     for copies in (bound, bound + cycle, bound + 2 * cycle):
         pumped = pumped_config(witness.loop, copies)
-        result = eqlevel_configs(
-            pda, pumped, limit, config.cutoff, config.omega_budget, ctx=ctx
+        result = _eqlevel_ladder(
+            pda, pumped, limit, config.cutoff, config.omega_budget, ctx, GameContext.level
         )
         checks.append((copies, result))
     (_, base) = checks[0]
@@ -755,11 +761,13 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
     The route is skipped when the emptying sequences of that evidence would
     hold more than ``config.path_budget`` rules.
 
-    Otherwise runs the negative and positive procedures in a deterministic
-    round-robin (a fixed number of witness candidates per positive level)
-    and returns the first verdict either one establishes.  When both sides
-    exhaust their budgets (all taken from ``config``) the verdict is
-    honestly "unknown" with the search statistics attached.
+    Otherwise runs the positive and negative procedures in a deterministic
+    round-robin: each round tries one positive level first, then up to 25
+    witness candidates, so a process matched by a shallow finite system
+    never waits on refuted pump games.  Returns the first verdict either
+    side establishes.  When both sides exhaust their budgets (all taken
+    from ``config``) the verdict is honestly "unknown" with the search
+    statistics attached.
     """
     validate_config(pda, start)
     if not step(pda, start):
@@ -800,6 +808,10 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
         negative_done = True
 
     while True:
+        if not positive.exhausted:
+            comparison = positive.attempt()
+            if comparison is not None and comparison.equivalent:
+                return Verdict("regular", "certified", "positive", comparison, stats())
         if not negative_done:
             for _ in range(25):
                 try:
@@ -822,9 +834,5 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
                 if examined >= config.candidate_budget:
                     negative_done = True
                     break
-        if not positive.exhausted:
-            comparison = positive.attempt()
-            if comparison is not None and comparison.equivalent:
-                return Verdict("regular", "certified", "positive", comparison, stats())
         if (negative_done or search.exhausted) and positive.exhausted:
             return Verdict("unknown", None, None, None, stats())

@@ -416,3 +416,44 @@ def test_twin_climb_to_a_deep_cutoff_runs_on_memo_hits():
     got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=500)
     assert got.is_omega
     assert check_coverage(twin, got.certificate)
+
+
+def random_config(rng, controls, symbols):
+    prefix = random_stack(rng, symbols, max_len=3)
+    if rng.random() < 0.3:
+        period = random_stack(rng, symbols, max_len=2, min_len=1)
+        return Config(rng.choice(controls), StackWord.repeating(prefix, period))
+    return Config(rng.choice(controls), StackWord.finite(prefix))
+
+
+def test_level_only_climb_equals_the_strategy_climb():
+    # GameContext.level is the climb that eqlevel attaches a strategy to;
+    # the pump argument reads it alone, so it must give the same level, and
+    # that level must be the last round the pair survives
+    rng = random.Random(63)
+    (finite, periodic) = (0, 0)
+    for _ in range(30):
+        pda = random_pda(rng)
+        oracle = PdaOracle(pda)
+        ctx = GameContext(oracle, oracle)
+        (controls, symbols) = (sorted(pda.controls), sorted(pda.stack_alphabet))
+        for _ in range(8):
+            left = random_config(rng, controls, symbols)
+            right = random_config(rng, controls, symbols)
+            got = ctx.level(left, right, 12)
+            want = eqlevel(oracle, left, oracle, right, 12)
+            assert (got.kind, got.value) == (want.kind, want.value)
+            assert got.certificate is None
+            if got.is_finite:
+                finite += 1
+                periodic += bool(left.stack.period or right.stack.period)
+                assert bounded_bisim(oracle, left, oracle, right, got.value)
+                assert not bounded_bisim(oracle, left, oracle, right, got.value + 1)
+                assert want.certificate.depth() == got.value + 1
+                # the separating round is found at the cutoff, not past it
+                assert ctx.level(left, right, got.value + 1) == got
+                if got.value:
+                    assert ctx.level(left, right, got.value).kind == "at_least"
+            else:
+                assert bounded_bisim(oracle, left, oracle, right, 12)
+    assert finite >= 100 and periodic >= 50, (finite, periodic)

@@ -1,8 +1,11 @@
 """Loop candidates, pump bounds, witnesses and the combined verdict."""
 
+import contextlib
 import dataclasses
 import gc
+import hashlib
 import random
+import signal
 import time
 import weakref
 
@@ -253,6 +256,8 @@ def test_decide_growing_is_regular(growing, growing_start):
         growing, growing_start, comparison.lts, comparison.finite_state
     )
     assert again.equivalent
+    # the first positive level answers before any pump candidate is tried
+    assert dict(verdict.stats)["negative-candidates"] == 0
 
 
 def test_decide_deadlock_is_regular(deadlock, deadlock_start):
@@ -362,3 +367,70 @@ def test_a_regular_verdict_builds_one_automaton(monkeypatch):
     verdict = decide_regularity(pda, start)
     assert (verdict.kind, verdict.exactness) == ("regular", "certified")
     assert len(built) == 1
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Fail with TimeoutError, instead of stalling, once ``seconds`` have passed."""
+
+    def ring(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_race_asks_the_positive_side_first():
+    # the normed counter from a periodic start is regular: no stack empties,
+    # and every configuration moves by both a and b, like a one-state loop;
+    # its first positive level answers, where 25 refuted pump candidates
+    # once took seconds
+    pda = Pda(
+        controls=frozenset(["p"]),
+        stack_alphabet=frozenset(["X", "A"]),
+        actions=frozenset(["a", "b"]),
+        rules=(
+            Rule("p", "X", "a", "p", ("A", "X")),
+            Rule("p", "X", "b", "p", ()),
+            Rule("p", "A", "a", "p", ("A", "A")),
+            Rule("p", "A", "b", "p", ()),
+        ),
+    )
+    start = Config("p", StackWord.repeating(("X",), ("A",)))
+    with alarm(10):
+        verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness, verdict.winner) == (
+        "regular", "certified", "positive"
+    )
+    stats = dict(verdict.stats)
+    assert (stats["negative-candidates"], stats["positive-levels"]) == (0, 1)
+
+
+def test_the_pump_argument_builds_no_strategy(monkeypatch):
+    # limit_level_bound and verify_witness read eq-levels only; building
+    # their strategies once took 86,663 distinct strategy nodes on this seed
+    built = []
+    original = GameContext._distinguish
+
+    def counting(self, s, t, k):
+        built.append(k)
+        return original(self, s, t, k)
+
+    monkeypatch.setattr(GameContext, "_distinguish", counting)
+    pda = random_pda(random.Random(5192), 4, 4, 12)
+    start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    assert built == []
+    text = certs.dumps(certs.verdict_document(pda, start, verdict))
+    # the document of the strategy-building pump argument, byte for byte
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "29b8b66531cf412b46f79d7e5643efc8371ad4dbc4a3b05ca2eb002e4b553820"
+    )
+    got = certs.check_document(certs.loads(text))
+    assert got.ok, got.detail
