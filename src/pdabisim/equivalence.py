@@ -5,10 +5,11 @@ rounds".  This module layers the pushdown-specific machinery on top of it:
 
 * dead-tail absorption, a semantics-preserving stack truncation that makes
   many growing-stack processes literally equal as configurations;
-* ``eqlevel_configs``, which answers configurations equal after absorption
-  at once, climbs the levels for the others and then tries to certify full
-  bisimilarity via a ladder of increasingly expensive arguments, returning
-  an EqLevelResult whose certificate a third party can replay;
+* ``eqlevel_configs``, which seeks the cheapest evidence first: one round
+  of the game, equality after absorption, a shallow climb, the finite-graph
+  route capped by the work done so far, and only then the full climb and
+  the relation search; it returns an EqLevelResult whose certificate a
+  third party can replay, the same one the plain order would give;
 * the limit level bound used by the non-regularity pump argument;
 * the decision procedure for "pushdown configuration vs finite system".
 """
@@ -81,11 +82,14 @@ class AbsorbingOracle(PdaOracle):
     material collapse), which is what makes exhaustive region exploration
     feasible.  Being bisimilar, both graphs share the pop-horizon game key
     of ``PdaOracle``, so absorbed and raw configurations share game results.
+    Absorptions and successor lists are memoized, so the region walk, the
+    refinement and the relation search of one query step each state once.
     """
 
     def __init__(self, pda):
         super().__init__(pda)
         self._cache = {}
+        self._succ = {}
 
     def absorb(self, config):
         got = self._cache.get(config)
@@ -95,7 +99,11 @@ class AbsorbingOracle(PdaOracle):
         return got
 
     def successors(self, config):
-        return [(a, self.absorb(c)) for (a, c) in step(self.pda, config)]
+        got = self._succ.get(config)
+        if got is None:
+            got = tuple((a, self.absorb(c)) for (a, c) in step(self.pda, config))
+            self._succ[config] = got
+        return got
 
 
 def _ordered_pair(c, d):
@@ -223,9 +231,11 @@ def _finite_graph_route(pda, oracle, left, right, cap):
 
     Explores each side's absorbed successor graph up to ``cap`` states; on
     success the question reduces to plain partition refinement on a finite
-    graph.  ``left`` and ``right`` are raw configurations: a separating
-    strategy is played on the absorbed graph and replayed on them.  Returns
-    an EqLevelResult, or None when a region blows the cap.
+    graph.  A region is either found whole or blows the cap, so a lower cap
+    never changes an answer, it only gives up sooner.  ``left`` and
+    ``right`` are raw configurations: a separating strategy is played on
+    the absorbed graph and replayed on them.  Returns an EqLevelResult, or
+    None when a region blows the cap.
     """
     raw = (left, right)
     (left, right) = (oracle.absorb(left), oracle.absorb(right))
@@ -267,17 +277,22 @@ def _certify_equal(oracle, left, right):
 
 
 def certify_bisimilar(
-    pda, left, right, budget=AnalysisConfig.omega_budget, probe_depth=6, ctx=None
+    pda, left, right, budget=AnalysisConfig.omega_budget, probe_depth=6, ctx=None, oracle=None
 ):
     """Try to produce a checkable proof that two configurations are bisimilar.
 
     Three arguments are attempted in order of cost: equality after dead-tail
-    absorption, exhaustive comparison of finite absorbed regions, and a
-    greedy self-covering relation search whose defender choices are guided
-    by bounded probes.  Returns an EqLevelResult ("omega", or "finite" when
-    the finite-graph route decides negatively) or None when nothing sticks.
+    absorption, exhaustive comparison of finite absorbed regions of up to
+    ``budget`` states, and a greedy self-covering relation search whose
+    defender choices are guided by bounded probes in ``ctx``.  ``oracle``
+    is an ``AbsorbingOracle`` of ``pda`` whose memos a caller shares; a
+    fresh one is made when it is None.  Returns an EqLevelResult ("omega",
+    or "finite" when the finite-graph route decides negatively) or None
+    when nothing sticks.  ``eqlevel_configs`` tries the first two arguments
+    earlier, under lower caps, and calls this only for the pairs they leave.
     """
-    oracle = AbsorbingOracle(pda)
+    if oracle is None:
+        oracle = AbsorbingOracle(pda)
     equal = _certify_equal(oracle, left, right)
     if equal is not None:
         return equal
@@ -309,12 +324,16 @@ def eqlevel_configs(
 ):
     """The equivalence level of two configurations of one process.
 
-    Configurations equal after dead-tail absorption are answered Omega at
-    once, without playing a round.  Otherwise levels are climbed up to
-    ``cutoff``; a first disagreement yields Finite(k) with a winning
-    attacker strategy.  If no disagreement shows up, the rest of the
-    certification ladder runs; its success turns the answer into Omega with
-    a self-covering relation, otherwise the honest AtLeast(cutoff) stands.
+    A first disagreement at level k yields Finite(k) with a winning attacker
+    strategy; a proof of bisimilarity yields Omega with a relation;
+    otherwise the honest AtLeast(cutoff) stands.  The evidence is sought
+    cheapest first (see ``_eqlevel_ladder``): round one on the raw
+    configurations, which needs no transformer table; equality after
+    dead-tail absorption; the climb to the probe depth min(8, cutoff); the
+    finite-graph route under a cap set by the work done so far; the climb
+    to ``cutoff``; and then the rest of ``certify_bisimilar``.  Each step
+    only moves evidence earlier, so the answer and its certificate are
+    those of climbing to ``cutoff`` first and certifying after.
     """
     return _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, _strategy_climb)
 
@@ -326,24 +345,62 @@ def _strategy_climb(ctx, left, right, cutoff):
 def _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, climb):
     """The ladder of ``eqlevel_configs``, climbing the levels with ``climb``.
 
-    ``climb(ctx, left, right, cutoff)`` is ``_strategy_climb`` where the
-    strategy is kept, or ``GameContext.level`` for a caller that reads only
-    the level; a Finite answer of the latter carries no strategy, though one
+    ``climb(ctx, left, right, k)`` is ``_strategy_climb`` where the strategy
+    is kept, or ``GameContext.level`` for a caller that reads only the
+    level; a Finite answer of the latter carries no strategy, though one
     from the finite-graph route still does.
+
+    The steps, cheapest first:
+
+    1. round one on the raw pda; every pop floor is at least 1, so its game
+       keys read no floor and a pair it separates builds no transformer
+       table and absorbs nothing;
+    2. equality after absorption;
+    3. the climb to the probe depth min(8, cutoff);
+    4. the finite-graph route, once, kept only when it proves the pair
+       bisimilar.  Its region cap is the number of states this call's games
+       have expanded so far (``GameContext.expanded``), never more than
+       ``omega_budget``, so no region holds more states than the games
+       expanded;
+    5. the climb to ``cutoff``, whose rounds up to the probe depth are memo
+       hits, and ``certify_bisimilar`` at the full budget.
+
+    The answer is exact in the sense that it matches the plain order
+    (equality, climb to ``cutoff``, ``certify_bisimilar``).  A level found
+    early is the climb's first disagreement, reached by the same memoized
+    games.  A pair the early route certifies is bisimilar, so the climb
+    would reach AtLeast(cutoff), and a region complete under the lower cap
+    is the one the full cap finds, so ``certify_bisimilar`` would return
+    the same relation.  One ``AbsorbingOracle`` serves the whole call.
     """
     validate_config(pda, left)
     validate_config(pda, right)
-    equal = _certify_equal(AbsorbingOracle(pda), left, right)
-    if equal is not None:
-        return equal
+    if cutoff < 1:
+        raise InputError("cutoff must be >= 1, got %r" % (cutoff,))
     if ctx is None:
         oracle = PdaOracle(pda)
         ctx = GameContext(oracle, oracle)
+    expanded = ctx.expanded
+    bounded = climb(ctx, left, right, 1)
+    if bounded.is_finite:
+        return bounded
+    absorbing = AbsorbingOracle(pda)
+    equal = _certify_equal(absorbing, left, right)
+    if equal is not None:
+        return equal
+    probe_depth = min(8, cutoff)
+    bounded = climb(ctx, left, right, probe_depth)
+    if bounded.is_finite:
+        return bounded
+    cap = min(omega_budget, ctx.expanded - expanded)
+    early = _finite_graph_route(pda, absorbing, left, right, cap)
+    if early is not None and early.is_omega:
+        return early
     bounded = climb(ctx, left, right, cutoff)
     if bounded.is_finite:
         return bounded
     certified = certify_bisimilar(
-        pda, left, right, budget=omega_budget, probe_depth=min(8, cutoff), ctx=ctx
+        pda, left, right, budget=omega_budget, probe_depth=probe_depth, ctx=ctx, oracle=absorbing
     )
     if certified is not None:
         return certified

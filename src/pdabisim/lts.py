@@ -140,12 +140,14 @@ class GameContext:
 
     Game results are cached per depth under each side's depth-determining
     abstraction, so repeated queries (and deeper queries that revisit the
-    same sub-games) share work.
+    same sub-games) share work.  ``expanded`` counts the states whose
+    successors the games have read, a measure of the work done so far.
     """
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self.expanded = 0
         self._memo = {}
         self._strategies = {}
         self._succ_l = {}
@@ -156,6 +158,7 @@ class GameContext:
         if got is None:
             got = tuple(self.left.successors(state))
             self._succ_l[state] = got
+            self.expanded += 1
         return got
 
     def _rsucc(self, state):
@@ -165,6 +168,7 @@ class GameContext:
         if got is None:
             got = tuple(self.right.successors(state))
             self._succ_r[state] = got
+            self.expanded += 1
         return got
 
     def bisim(self, s, t, k):

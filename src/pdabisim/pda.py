@@ -259,7 +259,11 @@ class PdaOracle(SuccessorOracle):
     Exposing the symbol below the kept ones therefore takes at least k
     moves, so configurations with one key have isomorphic k-round
     unfoldings and may share game results.  Every floor is at least 1, so
-    the key never keeps more than the top k symbols.
+    the key never keeps more than the top k symbols, and at depth 0 or 1 it
+    keeps exactly the top k without reading a floor.  ``eqlevel_configs``
+    plays round one first for that reason: a pair it separates is answered
+    before any transformer table is built, and since the key is the one the
+    floor walk gives, so is the answer.
     """
 
     def __init__(self, pda):
@@ -274,6 +278,8 @@ class PdaOracle(SuccessorOracle):
         return cached_transformers(self.pda).pop_floors()
 
     def game_key(self, config, depth):
+        if depth <= 1:
+            return (id(self.pda), config.control, config.stack.expand(depth))
         floors = self.floors
         (prefix, period) = (config.stack.prefix, config.stack.period)
         cost = 0

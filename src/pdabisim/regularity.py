@@ -469,8 +469,14 @@ def verify_witness(pda, witness, config=AnalysisConfig()):
 
     The loop is replayed first (``replay_loop``); then the equivalence
     levels decide the verdict.  They run the ladder of ``eqlevel_configs``
-    with a level-only climb, so no attacker strategy is built.  Malformed
-    witnesses raise InputError; well-formed ones always get a verdict.
+    with a level-only climb, so no attacker strategy is built, and in its
+    cheapest-first order: round one, equality after absorption, the climb
+    to the probe depth, the finite-graph route capped by the states that
+    call's own games expanded (the three calls share one game context, so
+    each cap counts only its own call's work), then the climb to the
+    cutoff.  The order only moves evidence earlier, so the levels are
+    those of climbing to the cutoff first.  Malformed witnesses raise
+    InputError; well-formed ones always get a verdict.
     """
     validate_config(pda, witness.start)
     replay_loop(pda, witness.start, witness.loop)

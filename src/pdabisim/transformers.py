@@ -31,6 +31,32 @@ class TransformerTable:
     shortest: tuple     # sorted (((control, symbol, end), steps), ...)
     bound: int
 
+    @functools.cached_property
+    def _ends(self):
+        """(control, symbol) -> the end controls of its triples."""
+        ends = {}
+        for (p, symbol, q) in self.triples:
+            ends.setdefault((p, symbol), set()).add(q)
+        return {key: frozenset(qs) for (key, qs) in ends.items()}
+
+    @functools.cached_property
+    def _images(self):
+        return {}
+
+    def image(self, controls, symbol):
+        """The end controls of emptying ``symbol`` from some member of ``controls``.
+
+        Read off the per-(control, symbol) end sets and memoized per
+        (control set, symbol) on the table.
+        """
+        key = (controls, symbol)
+        got = self._images.get(key)
+        if got is None:
+            ends = self._ends
+            got = frozenset().union(*(ends.get((p, symbol), ()) for p in controls))
+            self._images[key] = got
+        return got
+
     def pop_floors(self):
         """symbol -> fewest steps that pop it, over all start and end controls.
 
@@ -112,7 +138,8 @@ def apply_set_transformer(table, controls, word):
 
     Folds the single-symbol relation over the word: the result is every
     control reachable by emptying the whole segment from some member.
-    Monotone in ``controls``.
+    Monotone in ``controls``.  Each step is one ``TransformerTable.image``
+    lookup, so no step scans the triples.
     """
     current = frozenset(controls)
     for c in current:
@@ -121,9 +148,7 @@ def apply_set_transformer(table, controls, word):
     for sym in word:
         if sym not in table.alphabet:
             raise InputError("undeclared stack symbol %r" % (sym,))
-        current = frozenset(
-            q for (p, s, q) in table.triples if s == sym and p in current
-        )
+        current = table.image(current, sym)
         if not current:
             break
     return current

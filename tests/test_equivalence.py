@@ -25,7 +25,7 @@ from pdabisim import (
     certs,
     limit_level_bound,
 )
-from pdabisim import equivalence
+from pdabisim import equivalence, transformers
 from pdabisim.equivalence import absorb_dead_tail
 from pdabisim.reachability import completion, reach_automaton
 
@@ -402,7 +402,9 @@ def test_visible_pop_property():
 def test_twin_climb_to_a_deep_cutoff_runs_on_memo_hits():
     # X is never popped, so every twin configuration has a one-symbol key
     # and each level of the climb is a memo hit one level down, instead of
-    # a recursion as deep as the level
+    # a recursion as deep as the level; the absorbed regions are finite, so
+    # the finite-graph route certifies the pair after the climb to the probe
+    # depth 8, and no deeper game is played
     twin = Pda(
         controls=frozenset(["p", "q"]),
         stack_alphabet=frozenset(["X"]),
@@ -413,9 +415,12 @@ def test_twin_climb_to_a_deep_cutoff_runs_on_memo_hits():
             for (a, push) in (("a", ("X", "X")), ("b", ("X",)))
         ),
     )
-    got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=500)
-    assert got.is_omega
+    oracle = PdaOracle(twin)
+    ctx = GameContext(oracle, oracle)
+    got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=500, ctx=ctx)
+    assert (got.kind, got.certificate.kind) == ("omega", "finite-graph")
     assert check_coverage(twin, got.certificate)
+    assert max(k for (k, _, _) in ctx._memo) == 8
 
 
 def random_config(rng, controls, symbols):
@@ -457,3 +462,95 @@ def test_level_only_climb_equals_the_strategy_climb():
             else:
                 assert bounded_bisim(oracle, left, oracle, right, 12)
     assert finite >= 100 and periodic >= 50, (finite, periodic)
+
+
+def plain_ladder(pda, left, right, cutoff):
+    """The certification ladder in its plain order, from public functions.
+
+    Equality after absorption, then the climb to ``cutoff``, then
+    ``certify_bisimilar`` at the default budget.
+    """
+    if absorb_dead_tail(pda, left) == absorb_dead_tail(pda, right):
+        return certify_bisimilar(pda, left, right)
+    oracle = PdaOracle(pda)
+    ctx = GameContext(oracle, oracle)
+    bounded = eqlevel(oracle, left, oracle, right, cutoff, ctx=ctx)
+    if bounded.is_finite:
+        return bounded
+    certified = certify_bisimilar(pda, left, right, probe_depth=min(8, cutoff), ctx=ctx)
+    return bounded if certified is None else certified
+
+
+@pytest.mark.parametrize("cutoff", [3, 64])
+def test_cheapest_first_ladder_matches_the_plain_order(cutoff):
+    # every step of eqlevel_configs only moves evidence earlier, so answers
+    # and certificate bytes are those of the plain order.  Seed 64's pairs
+    # give every answer kind but closure, which random_pda(3, 3, 8) pairs
+    # hardly reach; many other seeds hold a pair whose raw climb to 64
+    # runs for seconds to minutes in either order (the unbounded game engine)
+    rng = random.Random(64)
+    kinds = set()
+    for _ in range(50):
+        pda = random_pda(rng, 3, 3, 8)
+        (controls, symbols) = (sorted(pda.controls), sorted(pda.stack_alphabet))
+        for _ in range(4):
+            left = random_config(rng, controls, symbols)
+            right = random_config(rng, controls, symbols)
+            got = eqlevel_configs(pda, left, right, cutoff=cutoff)
+            want = plain_ladder(pda, left, right, cutoff)
+            assert (got.kind, got.value) == (want.kind, want.value)
+            if got.kind != "at_least":
+                doc = certs.dumps(certs.eq_level_document(pda, left, right, got))
+                assert doc == certs.dumps(certs.eq_level_document(pda, left, right, want))
+            kinds.add(got.certificate.kind if got.is_omega else got.kind)
+    assert kinds >= {"finite", "equal", "finite-graph"}, kinds
+    assert ("at_least" in kinds) == (cutoff == 3), kinds
+
+
+def test_a_pair_separated_in_round_one_builds_no_transformer_table(counter, monkeypatch):
+    built = []
+    original = transformers.compute_transformers
+
+    def counting(pda):
+        built.append(pda)
+        return original(pda)
+
+    transformers.cached_transformers.cache_clear()
+    monkeypatch.setattr(transformers, "compute_transformers", counting)
+    got = eqlevel_configs(counter, fin("p", "X"), fin("p", "A", "X"))
+    assert (got.kind, got.value) == ("finite", 0)
+    assert built == []
+    # the next rung reads the table
+    got = eqlevel_configs(counter, fin("p", "A", "X"), fin("p", "A", "A", "X"))
+    assert (got.kind, got.value) == ("finite", 1)
+    assert built == [counter]
+
+
+def floor_walk(floors, config, depth):
+    """The pop-horizon cut of ``PdaOracle.game_key``, walked symbol by symbol."""
+    kept = []
+    cost = 0
+    for sym in config.stack.expand(depth):
+        if cost >= depth:
+            break
+        kept.append(sym)
+        if sym not in floors:
+            break
+        cost += floors[sym]
+    return tuple(kept)
+
+
+def test_round_one_keys_read_no_floor():
+    rng = random.Random(65)
+    for _ in range(30):
+        pda = random_pda(rng)
+        floors = PdaOracle(pda).floors
+        oracle = PdaOracle(pda)
+        (controls, symbols) = (sorted(pda.controls), sorted(pda.stack_alphabet))
+        for _ in range(10):
+            config = random_config(rng, controls, symbols)
+            for depth in (0, 1, 2, 5):
+                key = oracle.game_key(config, depth)
+                assert key == (id(pda), config.control, floor_walk(floors, config, depth))
+                assert ("floors" in vars(oracle)) == (depth > 1)
+            del oracle.floors

@@ -434,3 +434,25 @@ def test_the_pump_argument_builds_no_strategy(monkeypatch):
     )
     got = certs.check_document(certs.loads(text))
     assert got.ok, got.detail
+
+
+@pytest.mark.parametrize(
+    "seed,shape,digest",
+    [
+        (5088, (4, 4, 12), "f94d8783cb186ed7058c373399d397b6fe18d921dfebc9f5b3167c6d3395eeb2"),
+        (6076, (6, 3, 20), "3ebb001b08f7afe0325859cfb39e55e1e9157092d201e2395148e9026ab5bcf3"),
+    ],
+)
+def test_witness_documents_of_the_plain_ladder_order_are_pinned(seed, shape, digest):
+    # verify_witness runs the eq-level ladder at levels 9-15 on these seeds;
+    # the digests are those of the plain order (equality, climb to the
+    # cutoff, certify_bisimilar), which the cheapest-first order keeps
+    pda = random_pda(random.Random(seed), *shape)
+    start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness, verdict.winner) == (
+        "nonregular", "certified", "negative"
+    )
+    doc = certs.verdict_document(pda, start, verdict)
+    assert doc["kind"] == "witness"
+    assert hashlib.sha256(certs.dumps(doc).encode()).hexdigest() == digest
