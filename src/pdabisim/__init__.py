@@ -30,7 +30,6 @@ from .pda import (
     canonicalize,
     normalize_rules,
     step,
-    truncate,
     validate_config,
 )
 from .reachability import ConfigAutomaton, completion, poststar, reachable_truncations
@@ -108,7 +107,6 @@ __all__ = [
     "region",
     "reachable_truncations",
     "step",
-    "truncate",
     "validate_config",
     "verify_witness",
 ]

@@ -45,7 +45,6 @@ from .pda import (
     StackWord,
     canonicalize,
     normalize_rules,
-    step,
     validate_config,
 )
 from .reachability import (
@@ -211,7 +210,7 @@ def _strategy_doc(strategy, enc_left, enc_right):
     }
 
 
-def _replay_strategy(doc, left, right, succ_left, succ_right, dec_left, dec_right, depth):
+def _replay_strategy(doc, left, right, oracle_left, oracle_right, dec_left, dec_right, depth):
     """Does the strategy win the distinguishing game within ``depth`` rounds?
 
     Recomputes both sides' successors at every node; the document only
@@ -223,20 +222,20 @@ def _replay_strategy(doc, left, right, succ_left, succ_right, dec_left, dec_righ
     action = doc["action"]
     if side not in (0, 1):
         raise InputError("strategy side must be 0 or 1, got %r" % (side,))
-    sides = [(left, succ_left, dec_left), (right, succ_right, dec_right)]
-    (mover, succ_mover, dec_mover) = sides[side]
-    (other, succ_other, dec_other) = sides[1 - side]
+    sides = [(left, oracle_left, dec_left), (right, oracle_right, dec_right)]
+    (mover, oracle_mover, dec_mover) = sides[side]
+    (other, oracle_other, dec_other) = sides[1 - side]
     target = dec_mover(doc["target"])
-    if (action, target) not in tuple(succ_mover(mover)):
+    if (action, target) not in tuple(oracle_mover.successors(mover)):
         return False
-    answers = {t for (a, t) in succ_other(other) if a == action}
+    answers = {t for (a, t) in oracle_other.successors(other) if a == action}
     replies = {dec_other(enc): sub for (enc, sub) in doc["replies"]}
     if set(replies) != answers:
         return False
     for (answer, sub) in replies.items():
         pair = (target, answer) if side == 0 else (answer, target)
         if not _replay_strategy(
-            sub, *pair, succ_left, succ_right, dec_left, dec_right, depth - 1
+            sub, *pair, oracle_left, oracle_right, dec_left, dec_right, depth - 1
         ):
             return False
     return True
@@ -248,22 +247,21 @@ def _side_doc(kind, value):
     return {"type": "state", "state": value}
 
 
-def _side_tools(side, pda, lts):
-    """(state, successor function, oracle, decoder) for one document side."""
+def _side_tools(side, pda_oracle, lts_oracle):
+    """(state, oracle, decoder) for one side, from the document's oracles (or None)."""
     if side["type"] == "config":
-        if pda is None:
+        if pda_oracle is None:
             raise InputError("a configuration side needs an embedded process")
         config = config_from(side["config"])
-        validate_config(pda, config)
-        return (config, lambda c: step(pda, c), PdaOracle(pda), config_from)
+        validate_config(pda_oracle.pda, config)
+        return (config, pda_oracle, config_from)
     if side["type"] == "state":
-        if lts is None:
+        if lts_oracle is None:
             raise InputError("a state side needs an embedded finite system")
         state = side["state"]
-        if state not in lts.states:
+        if state not in lts_oracle.lts.states:
             raise InputError("unknown state %r" % (state,))
-        smap = lts.successor_map()
-        return (state, lambda s: smap[s], FiniteLtsOracle(lts), lambda x: x)
+        return (state, lts_oracle, lambda x: x)
     raise InputError("side type must be 'config' or 'state', got %r" % (side["type"],))
 
 
@@ -379,9 +377,9 @@ def _loop_from(doc):
 
 
 def _witness_from(doc):
-    pda = pda_from(doc["pda"])
+    oracle = PdaOracle(pda_from(doc["pda"]))
     start = config_from(doc["start"])
-    validate_config(pda, start)
+    validate_config(oracle.pda, start)
     budgets = doc.get("budgets", {})
     config = AnalysisConfig(
         **{k: v for (k, v) in budgets.items() if k in ("cutoff", "omega_budget", "region_cap")}
@@ -393,15 +391,16 @@ def _witness_from(doc):
             % (stored, config.pump_omega_budget, config.omega_budget)
         )
     loop = _loop_from(doc)
-    return (pda, start, Witness(start, loop, pump_bound(pda, loop, config)), config)
+    return (oracle, start, Witness(start, loop, pump_bound(oracle, loop, config)), config)
 
 
 def witness_from_document(doc):
-    """Rebuild (pda, start, witness, config) from a witness document.
+    """Rebuild (oracle, start, witness, config) from a witness document.
 
     The config holds the document's own budgets, and the pump bound is
-    recomputed with them, so the returned witness and config are exactly
-    what verify_witness expects.  Malformed documents raise InputError.
+    recomputed with them on the returned ``PdaOracle``, so the four are
+    exactly what verify_witness expects.  Malformed documents raise
+    InputError.
     """
     return _read_document(doc, "witness", _witness_from)
 
@@ -469,15 +468,15 @@ class CheckResult:
 
 
 def _check_finite_level(doc):
-    pda = pda_from(doc["pda"]) if "pda" in doc else None
-    lts = lts_from(doc["lts"]) if "lts" in doc else None
-    (left, succ_l, oracle_l, dec_l) = _side_tools(doc["left"], pda, lts)
-    (right, succ_r, oracle_r, dec_r) = _side_tools(doc["right"], pda, lts)
+    pda_oracle = PdaOracle(pda_from(doc["pda"])) if "pda" in doc else None
+    lts_oracle = FiniteLtsOracle(lts_from(doc["lts"])) if "lts" in doc else None
+    (left, oracle_l, dec_l) = _side_tools(doc["left"], pda_oracle, lts_oracle)
+    (right, oracle_r, dec_r) = _side_tools(doc["right"], pda_oracle, lts_oracle)
     value = _integer(doc, "value")
     if value < 0:
         raise InputError("level must be a non-negative integer, got %r" % (value,))
     won = _replay_strategy(
-        doc["strategy"], left, right, succ_l, succ_r, dec_l, dec_r, value + 1
+        doc["strategy"], left, right, oracle_l, oracle_r, dec_l, dec_r, value + 1
     )
     if not won:
         return CheckResult(
@@ -505,7 +504,7 @@ def _check_bisimulation(doc):
         (config_from(c), config_from(d)) for (c, d) in doc["pairs"]
     )
     cert = BisimCertificate(kind=doc.get("basis", "closure"), root=(left, right), pairs=pairs)
-    if not check_coverage(pda, cert):
+    if not check_coverage(PdaOracle(pda), cert):
         return CheckResult(
             False, "bisimulation", "the relation does not cover its own successors"
         )
@@ -575,7 +574,7 @@ def _check_regular(doc):
 def _check_witness(doc):
     bound = _integer(doc, "bound")
     base_level = _integer(doc, "base_level")
-    (pda, start, witness, config) = _witness_from(doc)
+    (oracle, start, witness, config) = _witness_from(doc)
     if witness.pump.bound != bound:
         return CheckResult(
             False,
@@ -583,7 +582,7 @@ def _check_witness(doc):
             "recomputed bound %d does not match the stored %r"
             % (witness.pump.bound, bound),
         )
-    check = verify_witness(pda, witness, config)
+    check = verify_witness(oracle, witness, config)
     if check.verdict != "verified":
         return CheckResult(
             False, "witness", "re-verification was not conclusive: %s" % (check.reason,)

@@ -475,8 +475,8 @@ def cmd_witness_verify(args, out):
             "a normed-witness document rests on the norm, not on pump games;"
             " check it with certcheck"
         )
-    (pda, start, witness, config) = certs.witness_from_document(doc)
-    check = verify_witness(pda, witness, config)
+    (oracle, start, witness, config) = certs.witness_from_document(doc)
+    check = verify_witness(oracle, witness, config)
     report = {
         "command": "witness-verify",
         "input": args.cert,

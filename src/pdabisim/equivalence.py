@@ -38,10 +38,10 @@ from .reachability import (
     reachable_key_cuts,
     reachable_truncations,
 )
-from .transformers import apply_set_transformer, cached_transformers, period_iteration
+from .transformers import apply_set_transformer, period_iteration
 
 
-def absorb_dead_tail(pda, config):
+def absorb_dead_tail(table, config):
     """Cut the stack at the first position that can never become the top.
 
     Walking the stack from the top while pushing the control set through the
@@ -49,8 +49,8 @@ def absorb_dead_tail(pda, config):
     is ever exposed, so the configuration behaves exactly like the one cut
     there.  The result is therefore interchangeable with the input in any
     behavioural question, and a finite stack often replaces an infinite one.
+    ``table`` is the process's transformer table (``PdaOracle.table``).
     """
-    table = cached_transformers(pda)
     prefix = config.stack.prefix
     period = config.stack.period
     controls = frozenset([config.control])
@@ -82,20 +82,27 @@ class AbsorbingOracle(PdaOracle):
     material collapse), which is what makes exhaustive region exploration
     feasible.  Being bisimilar, both graphs share the pop-horizon game key
     of ``PdaOracle``, so absorbed and raw configurations share game results.
-    Absorptions and successor lists are memoized, so the region walk, the
-    refinement and the relation search of one query step each state once.
+    It is a view of the analysis' ``PdaOracle`` ``raw``: it reads that
+    oracle's table and shares its absorptions, and memoizes its own
+    successor lists, so the region walk, the refinement and the relation
+    search of one query step each state once.
     """
 
-    def __init__(self, pda):
-        super().__init__(pda)
-        self._cache = {}
+    def __init__(self, raw):
+        super().__init__(raw.pda)
+        self.raw = raw
+        self.absorbed = raw.absorbed
         self._succ = {}
 
+    @property
+    def table(self):
+        return self.raw.table
+
     def absorb(self, config):
-        got = self._cache.get(config)
+        got = self.absorbed.get(config)
         if got is None:
-            got = absorb_dead_tail(self.pda, config)
-            self._cache[config] = got
+            got = absorb_dead_tail(self.table, config)
+            self.absorbed[config] = got
         return got
 
     def successors(self, config):
@@ -125,31 +132,28 @@ class BisimCertificate:
     pairs: tuple  # sorted ordered absorbed pairs, including the root
 
 
-def check_coverage(pda, certificate):
+def check_coverage(oracle, certificate):
     """Re-verify a BisimCertificate against the rules alone.
 
     Deliberately independent of the search that produced the certificate:
-    it recomputes every successor and consults nothing but the relation
-    itself and dead-tail absorption.
+    it recomputes every successor with ``step`` and consults nothing but
+    the relation itself and dead-tail absorption, by ``oracle.table`` under
+    a memo of its own.
     """
-    rel = set()
-    for (c, d) in certificate.pairs:
-        rel.add(_ordered_pair(absorb_dead_tail(pda, c), absorb_dead_tail(pda, d)))
-    root = _ordered_pair(
-        absorb_dead_tail(pda, certificate.root[0]),
-        absorb_dead_tail(pda, certificate.root[1]),
-    )
-    if root[0] != root[1] and root not in rel:
-        return False
+    (pda, table) = (oracle.pda, oracle.table)
     absorbed = {}
 
     def key(config):
         got = absorbed.get(config)
         if got is None:
-            got = absorb_dead_tail(pda, config)
+            got = absorb_dead_tail(table, config)
             absorbed[config] = got
         return got
 
+    rel = {_ordered_pair(key(c), key(d)) for (c, d) in certificate.pairs}
+    root = _ordered_pair(key(certificate.root[0]), key(certificate.root[1]))
+    if root[0] != root[1] and root not in rel:
+        return False
     for (c, d) in sorted(rel, key=lambda p: p[0].sort_key() + p[1].sort_key()):
         for (x, y) in ((c, d), (d, c)):
             answers = step(pda, y)
@@ -167,7 +171,7 @@ def check_coverage(pda, certificate):
     return True
 
 
-def _closure_search(pda, oracle, left, right, budget, agree):
+def _closure_search(oracle, left, right, budget, agree):
     """Grow a candidate self-covering relation from (left, right).
 
     ``agree`` is the defender-choice heuristic: given two absorbed
@@ -204,7 +208,7 @@ def _closure_search(pda, oracle, left, right, budget, agree):
     return tuple(sorted(rel, key=lambda p: p[0].sort_key() + p[1].sort_key()))
 
 
-def _raw_strategy(pda, oracle, strategy, left, right):
+def _raw_strategy(oracle, strategy, left, right):
     """``strategy``, won on the absorbed graph, replayed from ``left`` and ``right``.
 
     Absorbing a raw successor gives the absorption of the matching successor
@@ -213,20 +217,20 @@ def _raw_strategy(pda, oracle, strategy, left, right):
     """
     (mover, other) = (left, right) if strategy.side == 0 else (right, left)
     target = next(
-        c for (a, c) in step(pda, mover)
+        c for (a, c) in step(oracle.pda, mover)
         if a == strategy.action and oracle.absorb(c) == strategy.target
     )
     subs = dict(strategy.replies)
     replies = []
-    for (a, reply) in step(pda, other):
+    for (a, reply) in step(oracle.pda, other):
         if a == strategy.action:
             pair = (target, reply) if strategy.side == 0 else (reply, target)
-            sub = _raw_strategy(pda, oracle, subs[oracle.absorb(reply)], *pair)
+            sub = _raw_strategy(oracle, subs[oracle.absorb(reply)], *pair)
             replies.append((reply, sub))
     return Strategy(strategy.side, strategy.action, target, tuple(replies))
 
 
-def _finite_graph_route(pda, oracle, left, right, cap):
+def _finite_graph_route(oracle, left, right, cap):
     """Decide the pair exactly when both absorbed regions are finite.
 
     Explores each side's absorbed successor graph up to ``cap`` states; on
@@ -250,15 +254,15 @@ def _finite_graph_route(pda, oracle, left, right, cap):
         exact = eqlevel(oracle, left, oracle, right, len(states) + 1)
         assert exact.is_finite, "refinement split the pair but no level separates it"
         return EqLevelResult.finite(
-            exact.value, _raw_strategy(pda, oracle, exact.certificate, *raw)
+            exact.value, _raw_strategy(oracle, exact.certificate, *raw)
         )
     pairs = _closure_search(
-        pda, oracle, left, right, len(states) ** 2 + 1, lambda a, b: block[a] == block[b]
+        oracle, left, right, len(states) ** 2 + 1, lambda a, b: block[a] == block[b]
     )
     if pairs is None:
         return None
     cert = BisimCertificate("finite-graph", _ordered_pair(left, right), pairs)
-    if not check_coverage(pda, cert):
+    if not check_coverage(oracle, cert):
         return None
     return EqLevelResult.omega(cert)
 
@@ -277,7 +281,7 @@ def _certify_equal(oracle, left, right):
 
 
 def certify_bisimilar(
-    pda, left, right, budget=AnalysisConfig.omega_budget, probe_depth=6, ctx=None, oracle=None
+    oracle, left, right, budget=AnalysisConfig.omega_budget, probe_depth=6, ctx=None
 ):
     """Try to produce a checkable proof that two configurations are bisimilar.
 
@@ -285,31 +289,31 @@ def certify_bisimilar(
     absorption, exhaustive comparison of finite absorbed regions of up to
     ``budget`` states, and a greedy self-covering relation search whose
     defender choices are guided by bounded probes in ``ctx``.  ``oracle``
-    is an ``AbsorbingOracle`` of ``pda`` whose memos a caller shares; a
-    fresh one is made when it is None.  Returns an EqLevelResult ("omega",
-    or "finite" when the finite-graph route decides negatively) or None
-    when nothing sticks.  ``eqlevel_configs`` tries the first two arguments
+    is the analysis' ``PdaOracle``, or an ``AbsorbingOracle`` view of it
+    whose memos the caller shares.  Returns an EqLevelResult ("omega", or
+    "finite" when the finite-graph route decides negatively) or None when
+    nothing sticks.  ``eqlevel_configs`` tries the first two arguments
     earlier, under lower caps, and calls this only for the pairs they leave.
     """
-    if oracle is None:
-        oracle = AbsorbingOracle(pda)
+    if not isinstance(oracle, AbsorbingOracle):
+        oracle = AbsorbingOracle(oracle)
     equal = _certify_equal(oracle, left, right)
     if equal is not None:
         return equal
-    finite = _finite_graph_route(pda, oracle, left, right, budget)
+    finite = _finite_graph_route(oracle, left, right, budget)
     if finite is not None:
         return finite
     a = oracle.absorb(left)
     b = oracle.absorb(right)
-    probe_ctx = ctx if ctx is not None else GameContext(PdaOracle(pda), PdaOracle(pda))
+    probe_ctx = ctx if ctx is not None else GameContext(oracle.raw, oracle.raw)
 
     def agree(x, y):
         return probe_ctx.bisim(x, y, probe_depth)
 
-    pairs = _closure_search(pda, oracle, a, b, budget, agree)
+    pairs = _closure_search(oracle, a, b, budget, agree)
     if pairs is not None:
         cert = BisimCertificate("closure", _ordered_pair(a, b), pairs)
-        if check_coverage(pda, cert):
+        if check_coverage(oracle, cert):
             return EqLevelResult.omega(cert)
     return None
 
@@ -320,7 +324,6 @@ def eqlevel_configs(
     right,
     cutoff=AnalysisConfig.cutoff,
     omega_budget=AnalysisConfig.omega_budget,
-    ctx=None,
 ):
     """The equivalence level of two configurations of one process.
 
@@ -333,17 +336,20 @@ def eqlevel_configs(
     finite-graph route under a cap set by the work done so far; the climb
     to ``cutoff``; and then the rest of ``certify_bisimilar``.  Each step
     only moves evidence earlier, so the answer and its certificate are
-    those of climbing to ``cutoff`` first and certifying after.
+    those of climbing to ``cutoff`` first and certifying after.  The call
+    owns its ``PdaOracle``, and so its transformer table.
     """
-    return _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, _strategy_climb)
+    oracle = PdaOracle(pda)
+    ctx = GameContext(oracle, oracle)
+    return _eqlevel_ladder(ctx, left, right, cutoff, omega_budget, _strategy_climb)
 
 
 def _strategy_climb(ctx, left, right, cutoff):
     return eqlevel(ctx.left, left, ctx.right, right, cutoff, ctx=ctx)
 
 
-def _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, climb):
-    """The ladder of ``eqlevel_configs``, climbing the levels with ``climb``.
+def _eqlevel_ladder(ctx, left, right, cutoff, omega_budget, climb):
+    """The ladder of ``eqlevel_configs`` in ``ctx``, climbing the levels with ``climb``.
 
     ``climb(ctx, left, right, k)`` is ``_strategy_climb`` where the strategy
     is kept, or ``GameContext.level`` for a caller that reads only the
@@ -371,20 +377,18 @@ def _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, climb):
     games.  A pair the early route certifies is bisimilar, so the climb
     would reach AtLeast(cutoff), and a region complete under the lower cap
     is the one the full cap finds, so ``certify_bisimilar`` would return
-    the same relation.  One ``AbsorbingOracle`` serves the whole call.
+    the same relation.  One ``AbsorbingOracle``, a view of the oracle
+    ``ctx`` plays on, serves the whole call.
     """
-    validate_config(pda, left)
-    validate_config(pda, right)
+    validate_config(ctx.left.pda, left)
+    validate_config(ctx.left.pda, right)
     if cutoff < 1:
         raise InputError("cutoff must be >= 1, got %r" % (cutoff,))
-    if ctx is None:
-        oracle = PdaOracle(pda)
-        ctx = GameContext(oracle, oracle)
     expanded = ctx.expanded
     bounded = climb(ctx, left, right, 1)
     if bounded.is_finite:
         return bounded
-    absorbing = AbsorbingOracle(pda)
+    absorbing = AbsorbingOracle(ctx.left)
     equal = _certify_equal(absorbing, left, right)
     if equal is not None:
         return equal
@@ -393,14 +397,14 @@ def _eqlevel_ladder(pda, left, right, cutoff, omega_budget, ctx, climb):
     if bounded.is_finite:
         return bounded
     cap = min(omega_budget, ctx.expanded - expanded)
-    early = _finite_graph_route(pda, absorbing, left, right, cap)
+    early = _finite_graph_route(absorbing, left, right, cap)
     if early is not None and early.is_omega:
         return early
     bounded = climb(ctx, left, right, cutoff)
     if bounded.is_finite:
         return bounded
     certified = certify_bisimilar(
-        pda, left, right, budget=omega_budget, probe_depth=probe_depth, ctx=ctx, oracle=absorbing
+        absorbing, left, right, budget=omega_budget, probe_depth=probe_depth, ctx=ctx
     )
     if certified is not None:
         return certified
@@ -422,7 +426,7 @@ class LevelBound:
     pairs: int
 
 
-def limit_level_bound(pda, control, top, period, config=AnalysisConfig()):
+def limit_level_bound(oracle, control, top, period, config=AnalysisConfig()):
     """Bound the finite eq-levels around the limit configuration.
 
     For the limit configuration (control, top period^w): iterate the period's
@@ -432,26 +436,26 @@ def limit_level_bound(pda, control, top, period, config=AnalysisConfig()):
     finite equivalence level.  Only the levels are read, so the climbs
     build no attacker strategy.  The games stop at ``config.cutoff``, the
     region at ``config.region_cap`` states, and each relation search at
-    ``config.pump_omega_budget`` pairs.  Returns (LevelBound,
-    PeriodIteration).
+    ``config.pump_omega_budget`` pairs, all on one absorbing view of
+    ``oracle``.  Returns (LevelBound, PeriodIteration).
     """
-    table = cached_transformers(pda)
+    table = oracle.table
     iteration = period_iteration(table, control, top, tuple(period))
     stable = sorted(iteration.cycle_set)
     if not stable:
         return LevelBound(0, True, 0), iteration
     reach = iteration.preperiod + iteration.cycle_length
     radius = (1 + len(period) * reach) * max(1, table.bound)
-    oracle = AbsorbingOracle(pda)
-    center = oracle.absorb(Config(control, StackWord.repeating((top,), period)))
+    absorbing = AbsorbingOracle(oracle)
+    center = absorbing.absorb(Config(control, StackWord.repeating((top,), period)))
     exact = True
     try:
-        around = region(oracle, center, radius, max_states=config.region_cap)
+        around = region(absorbing, center, radius, max_states=config.region_cap)
     except BudgetError as blown:
         around = blown.partial
         exact = False
-    limits = [oracle.absorb(Config(p, StackWord.repeating((), period))) for p in stable]
-    ctx = GameContext(oracle, oracle)
+    limits = [absorbing.absorb(Config(p, StackWord.repeating((), period))) for p in stable]
+    ctx = GameContext(absorbing, absorbing)
     value = 0
     pairs = 0
     for near in sorted(around, key=Config.sort_key):
@@ -462,7 +466,7 @@ def limit_level_bound(pda, control, top, period, config=AnalysisConfig()):
                 value = max(value, got.value)
                 continue
             settled = certify_bisimilar(
-                pda, near, lim, budget=config.pump_omega_budget, probe_depth=4
+                absorbing, near, lim, budget=config.pump_omega_budget, probe_depth=4
             )
             if settled is None:
                 exact = False
@@ -512,14 +516,14 @@ def bisim_pda_vs_finite(pda, config, lts, state):
     automaton is built only when it does not separate the pair, so a
     comparison refuted at its root carries no automaton.
     """
-    return _compare_with_finite(pda, config, lts, state, None)
+    return _compare_with_finite(PdaOracle(pda), config, lts, state, None)
 
 
-def _compare_with_finite(pda, config, lts, state, aut):
-    """``bisim_pda_vs_finite``, reading the truncations off ``aut`` if given.
+def _compare_with_finite(pda_oracle, config, lts, state, aut):
+    """``bisim_pda_vs_finite`` on ``pda_oracle``, reading the truncations off ``aut`` if given.
 
-    ``aut`` must be ``reach_automaton(pda, config)``; a caller that already
-    holds it saves the rebuild.
+    ``aut`` must be ``reach_automaton(pda_oracle.pda, config)``; a caller
+    that already holds it saves the rebuild.
 
     The games are played once per pda game key, not once per truncation:
     the reachable depth-``level`` keys come straight off ``aut``
@@ -530,6 +534,7 @@ def _compare_with_finite(pda, config, lts, state, aut):
     some key has no partner are the truncations enumerated, to list those
     whose key it is.
     """
+    pda = pda_oracle.pda
     validate_config(pda, config)
     if state not in lts.states:
         raise InputError("unknown state %r" % (state,))
@@ -539,7 +544,6 @@ def _compare_with_finite(pda, config, lts, state, aut):
             "a finite system with %d states needs depth-%d truncations;"
             " the guardrail is %d" % (level, level, TRUNCATION_DEPTH_LIMIT)
         )
-    pda_oracle = PdaOracle(pda)
     fin_oracle = FiniteLtsOracle(lts)
     ctx = GameContext(pda_oracle, fin_oracle)
     root = eqlevel(pda_oracle, config, fin_oracle, state, level, ctx=ctx)

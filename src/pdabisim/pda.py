@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .lts import SuccessorOracle
-from .transformers import cached_transformers
+from .transformers import compute_transformers
 
 
 @dataclass(frozen=True, order=True)
@@ -163,13 +163,6 @@ class TruncatedConfig:
         return Config(self.control, StackWord.finite(self.prefix))
 
 
-def truncate(config, k):
-    """The depth-k truncation of a configuration."""
-    if k < 0:
-        raise InputError("truncation depth must be >= 0, got %r" % (k,))
-    return TruncatedConfig(config.control, config.stack.expand(k))
-
-
 @dataclass(frozen=True)
 class Pda:
     """An immutable pushdown process declaration.
@@ -264,18 +257,30 @@ class PdaOracle(SuccessorOracle):
     plays round one first for that reason: a pair it separates is answered
     before any transformer table is built, and since the key is the one the
     floor walk gives, so is the answer.
+
+    One oracle serves one analysis and owns what it derives from the pda:
+    the transformer table, built on first use, the floors read off it, and
+    the absorptions (``absorbed``) its ``AbsorbingOracle`` views share.
     """
 
     def __init__(self, pda):
         self.pda = pda
+        self.absorbed = {}
 
     def successors(self, config):
         return step(self.pda, config)
 
     @functools.cached_property
+    def table(self):
+        return compute_transformers(self.pda)
+
+    @functools.cached_property
     def floors(self):
         """symbol -> fewest moves that pop it; symbols never popped are absent."""
-        return cached_transformers(self.pda).pop_floors()
+        floors = {}
+        for ((_, symbol, _), steps) in self.table.shortest:
+            floors[symbol] = min(steps, floors.get(symbol, steps))
+        return floors
 
     def game_key(self, config, depth):
         if depth <= 1:

@@ -12,12 +12,12 @@ infinite) configuration graph.
 Hansel, Rossmanith and Schwoon (CAV 2000), run on sets of states: the
 edges out of a state with one label are one bitmask of destinations, and a
 popped worklist key fires a whole batch of new destinations at once.
-``reachable_truncations`` reads the depth-k cuts off the automaton by
-suffix: the cuts below each state are enumerated once per (state, depth)
-and shared by every prefix leading there.  ``reachable_key_cuts`` reads
-the depth-k pop-horizon game keys off it the same way, spending each
-symbol's pop cost instead of its length, so the games of a comparison are
-played once per key without listing the (often far more) truncations.
+``reachable_key_cuts`` reads the depth-k pop-horizon game keys off the
+automaton by suffix: the cuts below each state are enumerated once per
+(state, remaining pop cost) and shared by every prefix leading there, so
+the games of a comparison are played once per key without listing the
+(often far more) truncations.  ``reachable_truncations`` is the same
+enumeration with every symbol costing one.
 ``saturation_edges`` is the naive sweep over every rule; nothing on the fast
 path uses it, so a certificate checker can verify closure independently of
 how the automaton was produced.
@@ -425,43 +425,20 @@ def _reading_edges(aut, k):
 
 
 def reachable_truncations(aut, k):
-    """Exactly { truncate(c, k) : c reachable }, in original symbols.
+    """Exactly the depth-k truncations of the reachable configurations.
 
-    At k = 0 that is (q, ()) for every control q reachable with any stack,
-    the empty one included.  A depth past 12 raises BudgetError.
+    That is, (c.control, the top k symbols of c's stack) for every reachable
+    c, in original symbols.  At k = 0 it is (q, ()) for every control q
+    reachable with any stack, the empty one included.  A depth past 12
+    raises BudgetError.
 
-    The cuts are enumerated by suffix, not by prefix: ``cuts(s, j)`` is the
-    set of depth-j cuts of the words read from state ``s`` to a coaccessible
-    state, memoized per (state, depth).  Over the silent closure of ``s``
-    it holds ``()`` when a final is in the closure, and for each edge
-    (word, dst) with a non-empty word either ``word[:j]`` when the word is
-    long enough or ``word + t`` for every t in ``cuts(dst, j - len(word))``.
-    The depth falls on every such edge, so the recursion is at most k deep
-    whatever the automaton; the closure is a plain search.  Shared suffixes
-    are enumerated once instead of once per prefix reaching them.
+    A truncation is a pop-horizon key with every floor at 1, so the cuts
+    are ``reachable_key_cuts``' with a floor of 1 per original symbol.
     """
-    (_, silent, reads) = _reading_edges(aut, k)
-    memo = {}
-
-    def cuts(state, j):
-        got = memo.get((state, j))
-        if got is not None:
-            return got
-        closure = _eps_closure(silent, (state,))
-        got = set() if aut.finals.isdisjoint(closure) else {()}
-        for s in closure:
-            for (word, dst) in reads.get(s, ()):
-                if len(word) >= j:
-                    got.add(word[:j])
-                else:
-                    got.update([word + t for t in cuts(dst, j - len(word))])
-        memo[(state, j)] = got
-        return got
-
+    floors = {symbol: 1 for symbol in aut.original_alphabet}
     return {
-        TruncatedConfig(control, prefix)
-        for (control, start) in aut.entries
-        for prefix in cuts(start, k)
+        TruncatedConfig(control, kept)
+        for (control, kept) in reachable_key_cuts(aut, floors, k)
     }
 
 
@@ -474,13 +451,16 @@ def reachable_key_cuts(aut, floors, k):
     part, and therefore of every reachable depth-k truncation.  A depth
     past 12 raises BudgetError.
 
-    The enumeration is ``reachable_truncations``' suffix memo with the
-    remaining pop cost as the budget instead of the remaining length:
-    reading symbol X spends ``floors[X]``, a cut ends right after the symbol
-    that uses the budget up or after a symbol with no floor, and a cut is
-    ``()`` at a final state.  Every floor is at least 1, so the budget falls
-    on every reading edge and the recursion is at most k deep.  Many
-    truncations share one key, so there are far fewer cuts to enumerate.
+    The cuts are enumerated by suffix, not by prefix: ``cuts(s, budget)``
+    is the set of cuts of the words read from state ``s`` to a coaccessible
+    state with ``budget`` pop cost left, memoized per (state, budget), so
+    shared suffixes are enumerated once instead of once per prefix reaching
+    them.  Reading symbol X spends ``floors[X]``; a cut ends right after the
+    symbol that uses the budget up or after a symbol with no floor, and is
+    ``()`` at a final state in the silent closure.  Every floor is at least
+    1, so the budget falls on every reading edge and the recursion is at
+    most k deep.  Many truncations share one key, so there are far fewer
+    cuts to enumerate than truncations.
     """
     (coacc, silent, reads) = _reading_edges(aut, k)
     if k == 0:

@@ -46,10 +46,9 @@ from .reachability import TRUNCATION_DEPTH_LIMIT, reach_automaton, reachable_key
 from .equivalence import (
     _compare_with_finite,
     _eqlevel_ladder,
-    bisim_pda_vs_finite,
     limit_level_bound,
 )
-from .transformers import apply_set_transformer, cached_transformers
+from .transformers import apply_set_transformer
 
 
 @dataclass(frozen=True)
@@ -160,15 +159,16 @@ class StairSearch:
     next, so the most promising witnesses are tried early.  The search stops
     either because every path ended (``exhausted``: the stack height is
     bounded, a strong regularity signal) or because ``path_budget`` nodes
-    were expanded (``budget_hit``).
+    were expanded (``budget_hit``).  The stamps read ``oracle.table``.
     """
 
-    def __init__(self, pda, start, path_budget=AnalysisConfig.path_budget):
+    def __init__(self, oracle, start, path_budget=AnalysisConfig.path_budget):
+        pda = oracle.pda
         validate_config(pda, start)
         self.pda = pda
         self.start = start
         self.path_budget = path_budget
-        self.table = cached_transformers(pda)
+        self.table = oracle.table
         self.nodes = 0
         self.exhausted = False
         self.budget_hit = False
@@ -343,10 +343,10 @@ class PumpBound:
     bound: int
 
 
-def pump_bound(pda, candidate, config=AnalysisConfig()):
-    """Compute the separation bound for a loop candidate."""
+def pump_bound(oracle, candidate, config=AnalysisConfig()):
+    """Compute the separation bound for a loop candidate on the analysis' ``PdaOracle``."""
     (levels, iteration) = limit_level_bound(
-        pda, candidate.control, candidate.symbol, candidate.period, config
+        oracle, candidate.control, candidate.symbol, candidate.period, config
     )
     reach = iteration.preperiod + iteration.cycle_length
     return PumpBound(
@@ -464,7 +464,7 @@ def replay_loop(pda, start, loop):
     )
 
 
-def verify_witness(pda, witness, config=AnalysisConfig()):
+def verify_witness(oracle, witness, config=AnalysisConfig()):
     """Re-check a witness from scratch.
 
     The loop is replayed first (``replay_loop``); then the equivalence
@@ -475,22 +475,22 @@ def verify_witness(pda, witness, config=AnalysisConfig()):
     call's own games expanded (the three calls share one game context, so
     each cap counts only its own call's work), then the climb to the
     cutoff.  The order only moves evidence earlier, so the levels are
-    those of climbing to the cutoff first.  Malformed witnesses raise
-    InputError; well-formed ones always get a verdict.
+    those of climbing to the cutoff first.  The games run on ``oracle`` in
+    a context of their own.  Malformed witnesses raise InputError;
+    well-formed ones always get a verdict.
     """
-    validate_config(pda, witness.start)
-    replay_loop(pda, witness.start, witness.loop)
+    validate_config(oracle.pda, witness.start)
+    replay_loop(oracle.pda, witness.start, witness.loop)
 
     bound = witness.pump.bound
     cycle = max(1, witness.pump.cycle_length)
-    oracle = PdaOracle(pda)
     ctx = GameContext(oracle, oracle)
     checks = []
     limit = witness.c_inf
     for copies in (bound, bound + cycle, bound + 2 * cycle):
         pumped = pumped_config(witness.loop, copies)
         result = _eqlevel_ladder(
-            pda, pumped, limit, config.cutoff, config.omega_budget, ctx, GameContext.level
+            ctx, pumped, limit, config.cutoff, config.omega_budget, GameContext.level
         )
         checks.append((copies, result))
     (_, base) = checks[0]
@@ -550,13 +550,13 @@ class PositiveSearch:
     depth-n ones, so every depth is enumerated once.
     """
 
-    def __init__(self, pda, start, truncation_max=AnalysisConfig.truncation_max):
-        validate_config(pda, start)
-        self.pda = pda
+    def __init__(self, oracle, start, truncation_max=AnalysisConfig.truncation_max):
+        validate_config(oracle.pda, start)
+        self.pda = oracle.pda
         self.start = start
         self.max_level = min(truncation_max, TRUNCATION_DEPTH_LIMIT - 1)
         self.level = 0
-        self.oracle = PdaOracle(pda)
+        self.oracle = oracle
         self.ctx = GameContext(self.oracle, self.oracle)
         self._aut = None
         self._upper = None      # the last attempt's depth-(n+1) keys
@@ -650,7 +650,7 @@ class PositiveSearch:
         candidate = FiniteLts(frozenset(names), self.pda.actions, frozenset(transitions))
         try:
             return _compare_with_finite(
-                self.pda, self.start, candidate, names[j0], self._aut
+                self.oracle, self.start, candidate, names[j0], self._aut
             )
         except BudgetError:
             return None
@@ -716,14 +716,14 @@ def _emptying_rules(pda, dist, control, symbol, end):
     return tuple(rules)
 
 
-def emptying_sequences(pda, limit):
+def emptying_sequences(oracle, limit):
     """One shortest emptying rule sequence per (control, symbol) pair.
 
     None when some pair cannot pop its symbol (the process is not fully
     normed) or when the sequences would hold more than ``limit`` rules in
     all.
     """
-    table = cached_transformers(pda)
+    (pda, table) = (oracle.pda, oracle.table)
     dist = dict(table.shortest)
     cheapest = {}
     for ((p, x, q), steps) in table.shortest:
@@ -773,12 +773,13 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
     never waits on refuted pump games.  Returns the first verdict either
     side establishes.  When both sides exhaust their budgets (all taken
     from ``config``) the verdict is honestly "unknown" with the search
-    statistics attached.
+    statistics attached.  One ``PdaOracle`` serves the whole analysis.
     """
     validate_config(pda, start)
+    oracle = PdaOracle(pda)
     if not step(pda, start):
         halt = FiniteLts(frozenset(["halt"]), pda.actions, frozenset())
-        comparison = bisim_pda_vs_finite(pda, start, halt, "halt")
+        comparison = _compare_with_finite(oracle, start, halt, "halt", None)
         stats = (
             ("negative-candidates", 0),
             ("path-nodes", 0),
@@ -786,8 +787,8 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
         )
         return Verdict("regular", "certified", "positive", comparison, stats)
 
-    search = StairSearch(pda, start, config.path_budget)
-    positive = PositiveSearch(pda, start, config.truncation_max)
+    search = StairSearch(oracle, start, config.path_budget)
+    positive = PositiveSearch(oracle, start, config.truncation_max)
     candidates = iter(search)
     negative_done = False
     examined = 0
@@ -803,7 +804,7 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
 
     emptying = None
     if not start.stack.period:
-        emptying = emptying_sequences(pda, config.path_budget)
+        emptying = emptying_sequences(oracle, config.path_budget)
     if emptying is not None:
         # every candidate's loop grows the stack: its period is non-empty
         candidate = next(candidates, None)
@@ -826,8 +827,8 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
                     negative_done = True
                     break
                 examined += 1
-                witness = Witness(start, candidate, pump_bound(pda, candidate, config))
-                check = verify_witness(pda, witness, config)
+                witness = Witness(start, candidate, pump_bound(oracle, candidate, config))
+                check = verify_witness(oracle, witness, config)
                 if check.verdict == "verified":
                     exactness = "certified" if check.certified else "modulo-cutoff"
                     return Verdict(

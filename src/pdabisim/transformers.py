@@ -10,6 +10,10 @@ recorded endpoint is reachable within ``bound`` steps.
 ``compute_transformers`` finds the triples and their exact shortest lengths
 in one pass of Knuth's generalisation of Dijkstra's algorithm to grammar
 derivations (IPL 1977): each triple is settled once, at its least cost.
+
+Nothing here is cached across calls.  The table of a process is held by the
+``PdaOracle`` of the analysis that reads it (``PdaOracle.table``, built on
+first use), so it lives exactly as long as that analysis.
 """
 
 from __future__ import annotations
@@ -56,16 +60,6 @@ class TransformerTable:
             got = frozenset().union(*(ends.get((p, symbol), ()) for p in controls))
             self._images[key] = got
         return got
-
-    def pop_floors(self):
-        """symbol -> fewest steps that pop it, over all start and end controls.
-
-        Symbols without any triple are absent: they are never popped.
-        """
-        floors = {}
-        for ((_, symbol, _), steps) in self.shortest:
-            floors[symbol] = min(steps, floors.get(symbol, steps))
-        return floors
 
 
 def compute_transformers(pda):
@@ -126,11 +120,6 @@ def compute_transformers(pda):
         shortest=tuple(sorted(dist.items())),
         bound=bound,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def cached_transformers(pda):
-    return compute_transformers(pda)
 
 
 def apply_set_transformer(table, controls, word):

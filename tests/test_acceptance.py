@@ -510,7 +510,7 @@ def test_criterion_07_regularity_verdicts_with_certificates():
     assert time.monotonic() - t0 < 30.0
     assert (negative.kind, negative.exactness) == ("nonregular", "certified")
     evidence = negative.certificate
-    check = verify_witness(COUNTER, evidence.witness)
+    check = verify_witness(PdaOracle(COUNTER), evidence.witness)
     assert check.verdict == "verified"
     assert check.certified
     bound = check.bound
@@ -584,13 +584,13 @@ def _periodic_moves(pda, state):
 
 def test_criterion_08_pump_bound_decomposition():
     candidate = None
-    for found in StairSearch(COUNTER, COUNTER_START, path_budget=500):
+    for found in StairSearch(PdaOracle(COUNTER), COUNTER_START, path_budget=500):
         candidate = found
         break
     assert candidate is not None
     assert (candidate.control, candidate.symbol, candidate.period) == ("p", "A", ("A",))
 
-    pump = pump_bound(COUNTER, candidate)
+    pump = pump_bound(PdaOracle(COUNTER), candidate)
     assert pump.preperiod == 0
     assert pump.cycle_length == 1
     assert pump.limit_controls == ("p",)

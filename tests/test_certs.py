@@ -11,6 +11,7 @@ from pdabisim import (
     FiniteLts,
     InputError,
     Pda,
+    PdaOracle,
     Rule,
     StackWord,
     bisim_pda_vs_finite,
@@ -87,7 +88,7 @@ def test_at_least_results_certify_nothing(counter):
 
 
 def test_bisimulation_document_checks(growing):
-    result = certify_bisimilar(growing, fin("p", "X"), fin("p", "X", "X"))
+    result = certify_bisimilar(PdaOracle(growing), fin("p", "X"), fin("p", "X", "X"))
     doc = certs.eq_level_document(growing, fin("p", "X"), fin("p", "X", "X"), result)
     assert doc["kind"] == "bisimulation"
     got = certs.check_document(doc)
@@ -106,7 +107,7 @@ def test_bisimulation_document_needs_its_relation():
         actions=frozenset(["a"]),
         rules=(Rule("p", "A", "a", "p", ()), Rule("p", "B", "a", "p", ())),
     )
-    result = certify_bisimilar(pda, fin("p", "A"), fin("p", "B"))
+    result = certify_bisimilar(PdaOracle(pda), fin("p", "A"), fin("p", "B"))
     assert result is not None and result.is_omega
     doc = certs.eq_level_document(pda, fin("p", "A"), fin("p", "B"), result)
     assert certs.check_document(doc).ok

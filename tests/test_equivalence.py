@@ -25,9 +25,10 @@ from pdabisim import (
     certs,
     limit_level_bound,
 )
-from pdabisim import equivalence, transformers
+from pdabisim import equivalence
 from pdabisim.equivalence import absorb_dead_tail
 from pdabisim.reachability import completion, reach_automaton
+from pdabisim.transformers import compute_transformers
 
 from oracles import (
     OracleBudget,
@@ -77,10 +78,10 @@ def test_at_least_when_cutoff_is_too_small(counter):
 
 
 def test_growing_stacks_certify_bisimilar(growing):
-    got = certify_bisimilar(growing, fin("p", "X"), fin("p", "X", "X"))
+    got = certify_bisimilar(PdaOracle(growing), fin("p", "X"), fin("p", "X", "X"))
     assert got is not None
     assert got.is_omega
-    assert check_coverage(growing, got.certificate)
+    assert check_coverage(PdaOracle(growing), got.certificate)
 
 
 def test_absorbed_equal_pairs_are_settled_before_any_round(growing):
@@ -88,7 +89,7 @@ def test_absorbed_equal_pairs_are_settled_before_any_round(growing):
     left = fin("p", "X")
     right = fin("p", "X", "X")
     got = eqlevel_configs(growing, left, right, cutoff=5000)
-    assert got == certify_bisimilar(growing, left, right)
+    assert got == certify_bisimilar(PdaOracle(growing), left, right)
     assert (got.kind, got.certificate.kind) == ("omega", "equal")
 
 
@@ -102,7 +103,7 @@ def test_bisimilar_pairs_that_absorb_apart_still_climb_and_certify(growing):
     )
     got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=8)
     assert (got.kind, got.certificate.kind) == ("omega", "finite-graph")
-    assert check_coverage(twin, got.certificate)
+    assert check_coverage(PdaOracle(twin), got.certificate)
 
 
 def test_separated_pairs_keep_the_bare_climb_strategy(counter):
@@ -122,19 +123,19 @@ def test_tampered_certificate_fails_coverage(counter):
         root=(fin("p", "A", "X"), fin("p", "A", "A", "X")),
         pairs=((fin("p", "A", "X"), fin("p", "A", "A", "X")),),
     )
-    assert not check_coverage(counter, cert)
+    assert not check_coverage(PdaOracle(counter), cert)
     missing_root = BisimCertificate(
         kind="closure",
         root=(fin("p", "X"), fin("p", "A", "X")),
         pairs=(),
     )
-    assert not check_coverage(counter, missing_root)
+    assert not check_coverage(PdaOracle(counter), missing_root)
 
 
 def test_absorb_cuts_dead_material(counter, growing):
-    assert absorb_dead_tail(counter, fin("p", "X", "A", "A")) == fin("p", "X")
-    assert absorb_dead_tail(growing, fin("p", "X", "X", "X")) == fin("p", "X")
-    assert absorb_dead_tail(counter, fin("p", "A", "A", "X")) == fin(
+    assert absorb_dead_tail(PdaOracle(counter).table, fin("p", "X", "A", "A")) == fin("p", "X")
+    assert absorb_dead_tail(PdaOracle(growing).table, fin("p", "X", "X", "X")) == fin("p", "X")
+    assert absorb_dead_tail(PdaOracle(counter).table, fin("p", "A", "A", "X")) == fin(
         "p", "A", "A", "X"
     )
 
@@ -148,12 +149,12 @@ def test_absorb_preserves_behavior(counter, growing):
         for _ in range(25):
             stack = random_stack(rng, symbols, max_len=5)
             config = fin("p", *stack)
-            cut = absorb_dead_tail(pda, config)
+            cut = absorb_dead_tail(oracle.table, config)
             assert bounded_bisim(oracle, config, oracle, cut, 6, ctx=ctx)
 
 
 def test_limit_level_bound_on_counter(counter):
-    (bound, iteration) = limit_level_bound(counter, "p", "A", ("A",))
+    (bound, iteration) = limit_level_bound(PdaOracle(counter), "p", "A", ("A",))
     assert bound.value == 0
     assert bound.exact
     assert bound.pairs == 1
@@ -399,7 +400,7 @@ def test_visible_pop_property():
             assert bounded_bisim(oracle, left, oracle, right, len(visible), ctx=ctx)
 
 
-def test_twin_climb_to_a_deep_cutoff_runs_on_memo_hits():
+def test_twin_climb_to_a_deep_cutoff_runs_on_memo_hits(monkeypatch):
     # X is never popped, so every twin configuration has a one-symbol key
     # and each level of the climb is a memo hit one level down, instead of
     # a recursion as deep as the level; the absorbed regions are finite, so
@@ -415,12 +416,19 @@ def test_twin_climb_to_a_deep_cutoff_runs_on_memo_hits():
             for (a, push) in (("a", ("X", "X")), ("b", ("X",)))
         ),
     )
-    oracle = PdaOracle(twin)
-    ctx = GameContext(oracle, oracle)
-    got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=500, ctx=ctx)
+    contexts = []
+
+    class Recorded(GameContext):
+        def __init__(self, left, right):
+            super().__init__(left, right)
+            contexts.append(self)
+
+    monkeypatch.setattr(equivalence, "GameContext", Recorded)
+    got = eqlevel_configs(twin, fin("p", "X"), fin("q", "X"), cutoff=500)
     assert (got.kind, got.certificate.kind) == ("omega", "finite-graph")
-    assert check_coverage(twin, got.certificate)
-    assert max(k for (k, _, _) in ctx._memo) == 8
+    assert check_coverage(PdaOracle(twin), got.certificate)
+    assert len(contexts) == 1
+    assert max(k for (k, _, _) in contexts[0]._memo) == 8
 
 
 def random_config(rng, controls, symbols):
@@ -470,14 +478,14 @@ def plain_ladder(pda, left, right, cutoff):
     Equality after absorption, then the climb to ``cutoff``, then
     ``certify_bisimilar`` at the default budget.
     """
-    if absorb_dead_tail(pda, left) == absorb_dead_tail(pda, right):
-        return certify_bisimilar(pda, left, right)
     oracle = PdaOracle(pda)
+    if absorb_dead_tail(oracle.table, left) == absorb_dead_tail(oracle.table, right):
+        return certify_bisimilar(oracle, left, right)
     ctx = GameContext(oracle, oracle)
     bounded = eqlevel(oracle, left, oracle, right, cutoff, ctx=ctx)
     if bounded.is_finite:
         return bounded
-    certified = certify_bisimilar(pda, left, right, probe_depth=min(8, cutoff), ctx=ctx)
+    certified = certify_bisimilar(oracle, left, right, probe_depth=min(8, cutoff), ctx=ctx)
     return bounded if certified is None else certified
 
 
@@ -509,14 +517,13 @@ def test_cheapest_first_ladder_matches_the_plain_order(cutoff):
 
 def test_a_pair_separated_in_round_one_builds_no_transformer_table(counter, monkeypatch):
     built = []
-    original = transformers.compute_transformers
 
     def counting(pda):
         built.append(pda)
-        return original(pda)
+        return compute_transformers(pda)
 
-    transformers.cached_transformers.cache_clear()
-    monkeypatch.setattr(transformers, "compute_transformers", counting)
+    # the call's PdaOracle builds the table, through its module's name
+    monkeypatch.setattr("pdabisim.pda.compute_transformers", counting)
     got = eqlevel_configs(counter, fin("p", "X"), fin("p", "A", "X"))
     assert (got.kind, got.value) == ("finite", 0)
     assert built == []

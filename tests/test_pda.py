@@ -12,10 +12,10 @@ from pdabisim import (
     PdaOracle,
     Rule,
     StackWord,
+    TruncatedConfig,
     canonicalize,
     normalize_rules,
     step,
-    truncate,
     validate_config,
 )
 
@@ -107,14 +107,14 @@ def test_step_canonicalizes_periodic_results(counter):
 
 def test_truncate_keeps_top_symbols(counter):
     c = Config("p", StackWord.finite(("A", "A", "X")))
-    t2 = truncate(c, 2)
+    t2 = TruncatedConfig(c.control, c.stack.expand(2))
     assert t2.prefix == ("A", "A")
     assert t2.control == "p"
-    t3 = truncate(c, 3)
+    t3 = TruncatedConfig(c.control, c.stack.expand(3))
     assert t3.prefix == ("A", "A", "X")
     assert t3.as_config() == c
     limit = Config("p", StackWord.repeating((), ("A",)))
-    assert truncate(limit, 4).prefix == ("A",) * 4
+    assert TruncatedConfig(limit.control, limit.stack.expand(4)).prefix == ("A",) * 4
 
 
 def test_validate_config_rejects_foreign_symbols(counter):
@@ -201,7 +201,7 @@ def test_game_key_pairs_are_bisimilar_to_the_key_depth():
         pda = random_pda(rng)
         symbols = sorted(pda.stack_alphabet)
         oracle = PdaOracle(pda)
-        absorbing = AbsorbingOracle(pda)
+        absorbing = AbsorbingOracle(oracle)
         memo = {}
         for k in range(1, 7):
             control = rng.choice(sorted(pda.controls))

@@ -18,7 +18,6 @@ from pdabisim import (
     poststar,
     reachable_truncations,
     completion,
-    truncate,
 )
 from pdabisim.reachability import (
     TRUNCATION_DEPTH_LIMIT,
@@ -86,7 +85,7 @@ def test_completion_realizes_truncations(counter, counter_start):
         for trunc in reachable_truncations(aut, depth):
             got = completion(aut, trunc, depth=depth)
             assert got is not None
-            assert truncate(got, depth) == trunc
+            assert TruncatedConfig(got.control, got.stack.expand(depth)) == trunc
             assert automaton_accepts(aut, got.control, got.stack.prefix)
 
 

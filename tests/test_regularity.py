@@ -18,6 +18,7 @@ from pdabisim import (
     InputError,
     LoopCandidate,
     Pda,
+    PdaOracle,
     Rule,
     StackWord,
     StairSearch,
@@ -30,6 +31,7 @@ from pdabisim import (
 from pdabisim import certs, equivalence, regularity
 from pdabisim.reachability import reach_automaton, reachable_key_cuts
 from pdabisim.regularity import NormedEvidence, PositiveSearch, pumped_config
+from pdabisim.transformers import compute_transformers
 
 from oracles import naive_truncations, random_pda
 
@@ -39,7 +41,7 @@ def fin(control, *symbols):
 
 
 def first_candidate(pda, start, budget=500):
-    for candidate in StairSearch(pda, start, path_budget=budget):
+    for candidate in StairSearch(PdaOracle(pda), start, path_budget=budget):
         return candidate
     raise AssertionError("no loop candidate found")
 
@@ -61,7 +63,7 @@ def test_twocycle_loop_candidate(twocycle, twocycle_start):
 
 
 def test_stamped_candidates_sort_first(counter, counter_start):
-    search = StairSearch(counter, counter_start, path_budget=400)
+    search = StairSearch(PdaOracle(counter), counter_start, path_budget=400)
     seen = [c.stamped for c in search]
     assert seen
     assert seen[0]
@@ -69,7 +71,7 @@ def test_stamped_candidates_sort_first(counter, counter_start):
 
 def test_counter_pump_bound(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
-    pump = pump_bound(counter, candidate)
+    pump = pump_bound(PdaOracle(counter), candidate)
     assert pump.preperiod == 0
     assert pump.cycle_length == 1
     assert pump.limit_controls == ("p",)
@@ -90,10 +92,10 @@ def test_pumped_config_stacks_copies():
 
 def test_counter_witness_verifies(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
-    witness = Witness(counter_start, candidate, pump_bound(counter, candidate))
+    witness = Witness(counter_start, candidate, pump_bound(PdaOracle(counter), candidate))
     assert witness.c_fin == fin("p", "A", "A", "A", "X")
     assert witness.c_inf == Config("p", StackWord.repeating((), ("A",)))
-    check = verify_witness(counter, witness)
+    check = verify_witness(PdaOracle(counter), witness)
     assert check.verdict == "verified"
     assert check.certified
     assert check.corroborated is True
@@ -104,23 +106,23 @@ def test_counter_witness_verifies(counter, counter_start):
 
 def test_witness_exhausts_under_tiny_cutoff(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
-    witness = Witness(counter_start, candidate, pump_bound(counter, candidate))
-    check = verify_witness(counter, witness, AnalysisConfig(cutoff=2, omega_budget=0))
+    witness = Witness(counter_start, candidate, pump_bound(PdaOracle(counter), candidate))
+    check = verify_witness(PdaOracle(counter), witness, AnalysisConfig(cutoff=2, omega_budget=0))
     assert check.verdict == "exhausted"
     assert not check.certified
 
 
 def test_witness_on_regular_process_is_refuted(growing, growing_start):
     candidate = first_candidate(growing, growing_start)
-    witness = Witness(growing_start, candidate, pump_bound(growing, candidate))
-    check = verify_witness(growing, witness)
+    witness = Witness(growing_start, candidate, pump_bound(PdaOracle(growing), candidate))
+    check = verify_witness(PdaOracle(growing), witness)
     assert check.verdict == "refuted"
     assert check.corroborated is False
 
 
 def test_witness_with_broken_replay_is_malformed(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
-    pump = pump_bound(counter, candidate)
+    pump = pump_bound(PdaOracle(counter), candidate)
     bodies = (
         (Rule("p", "A", "b", "p", ()),),
         (Rule("p", "A", "a", "p", ("A", "A", "A")),),
@@ -128,17 +130,17 @@ def test_witness_with_broken_replay_is_malformed(counter, counter_start):
     for body in bodies:
         loop = dataclasses.replace(candidate, v_rules=body)
         with pytest.raises(InputError, match="the loop body"):
-            verify_witness(counter, Witness(counter_start, loop, pump))
+            verify_witness(PdaOracle(counter), Witness(counter_start, loop, pump))
     flat = dataclasses.replace(candidate, period=())
     with pytest.raises(InputError, match="period is empty"):
-        verify_witness(counter, Witness(counter_start, flat, pump))
+        verify_witness(PdaOracle(counter), Witness(counter_start, flat, pump))
     elsewhere = Witness(fin("p", "A", "X"), candidate, pump)
     with pytest.raises(InputError, match="the access path"):
-        verify_witness(counter, elsewhere)
+        verify_witness(PdaOracle(counter), elsewhere)
 
 
 def test_positive_search_settles_growing(growing, growing_start):
-    search = PositiveSearch(growing, growing_start)
+    search = PositiveSearch(PdaOracle(growing), growing_start)
     comparison = search.attempt()
     assert comparison is not None
     assert comparison.equivalent
@@ -162,7 +164,7 @@ def test_positive_search_enumerates_each_depth_once(monkeypatch, counter, counte
 
     monkeypatch.setattr(regularity, "reach_automaton", counting_build)
     monkeypatch.setattr(regularity, "reachable_key_cuts", counting_depth)
-    search = PositiveSearch(counter, counter_start)
+    search = PositiveSearch(PdaOracle(counter), counter_start)
     for _ in range(4):
         assert search.attempt() is None
     assert built == [counter_start]
@@ -175,7 +177,7 @@ def test_probe_classes_expand_to_the_truncation_classes():
     for _ in range(40):
         pda = random_pda(rng, 3, 3, 8)
         start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
-        search = PositiveSearch(pda, start)
+        search = PositiveSearch(PdaOracle(pda), start)
         oracle = search.oracle
         aut = reach_automaton(pda, start)
         for depth in (1, 2, 3):
@@ -303,9 +305,10 @@ def test_regularity_games_share_positions_across_stack_tails(monkeypatch, seed):
     start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
     # both seeds are fully normed, which decide_regularity settles by the
     # norm without a game, so the pump route is played here directly
-    for candidate in StairSearch(pda, start):
-        witness = Witness(start, candidate, pump_bound(pda, candidate))
-        check = verify_witness(pda, witness)
+    oracle = PdaOracle(pda)
+    for candidate in StairSearch(oracle, start):
+        witness = Witness(start, candidate, pump_bound(oracle, candidate))
+        check = verify_witness(oracle, witness)
         if check.verdict == "verified":
             break
     assert check.certified
@@ -346,9 +349,39 @@ def test_normed_route_needs_a_finite_start():
 def test_normed_route_keeps_to_the_path_budget():
     # emptying sequences longer than the path budget send the process to the race
     pda = random_pda(random.Random(2010), 3, 3, 8)
-    total = sum(len(rules) for (_, rules) in regularity.emptying_sequences(pda, 10 ** 6))
-    assert regularity.emptying_sequences(pda, total) is not None
-    assert regularity.emptying_sequences(pda, total - 1) is None
+    oracle = PdaOracle(pda)
+    total = sum(len(rules) for (_, rules) in regularity.emptying_sequences(oracle, 10 ** 6))
+    assert regularity.emptying_sequences(oracle, total) is not None
+    assert regularity.emptying_sequences(oracle, total - 1) is None
+
+
+def test_one_transformer_table_per_analysis_and_none_kept_after_it(monkeypatch):
+    # the analysis' PdaOracle owns the table: each decide_regularity call
+    # builds one and drops it with its oracle, and checking the witness
+    # document builds one more for the checker's own oracle
+    built = []
+
+    def counting(pda):
+        table = compute_transformers(pda)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr("pdabisim.pda.compute_transformers", counting)
+    pda = random_pda(random.Random(5088), 4, 4, 12)
+    start = fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0])
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    assert len(built) == 1
+    gc.collect()
+    assert built[0]() is None
+    again = decide_regularity(pda, start)
+    assert (again.kind, again.exactness) == ("nonregular", "certified")
+    assert len(built) == 2
+    doc = certs.loads(certs.dumps(certs.verdict_document(pda, start, verdict)))
+    assert doc["kind"] == "witness"
+    got = certs.check_document(doc)
+    assert got.ok, got.detail
+    assert len(built) == 3
 
 
 def test_a_regular_verdict_builds_one_automaton(monkeypatch):
