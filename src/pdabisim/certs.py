@@ -377,9 +377,6 @@ def _loop_from(doc):
 
 
 def _witness_from(doc):
-    oracle = PdaOracle(pda_from(doc["pda"]))
-    start = config_from(doc["start"])
-    validate_config(oracle.pda, start)
     budgets = doc.get("budgets", {})
     config = AnalysisConfig(
         **{k: v for (k, v) in budgets.items() if k in ("cutoff", "omega_budget", "region_cap")}
@@ -390,29 +387,31 @@ def _witness_from(doc):
             "pump_omega_budget %r is not the %d that omega_budget %d gives"
             % (stored, config.pump_omega_budget, config.omega_budget)
         )
+    oracle = PdaOracle(pda_from(doc["pda"]), config)
+    start = config_from(doc["start"])
+    validate_config(oracle.pda, start)
     loop = _loop_from(doc)
-    return (oracle, start, Witness(start, loop, pump_bound(oracle, loop, config)), config)
+    return (oracle, Witness(start, loop, pump_bound(oracle, loop)))
 
 
 def witness_from_document(doc):
-    """Rebuild (oracle, start, witness, config) from a witness document.
+    """Rebuild (oracle, witness) from a witness document.
 
-    The config holds the document's own budgets, and the pump bound is
-    recomputed with them on the returned ``PdaOracle``, so the four are
-    exactly what verify_witness expects.  Malformed documents raise
-    InputError.
+    The oracle carries the document's own budgets as its config, and the
+    pump bound is recomputed under them, so ``verify_witness(oracle,
+    witness)`` re-checks the witness under the budgets it was decided
+    with.  Malformed documents raise InputError.
     """
     return _read_document(doc, "witness", _witness_from)
 
 
-def witness_document(pda, start, evidence, config):
+def witness_document(pda, start, evidence):
     """Certificate document for a verified non-regularity witness.
 
-    The budgets of ``config`` that produced the witness are embedded so the
-    checker can reproduce the exact same bound computation.
+    The budgets of the config the evidence was decided under are embedded,
+    so the checker reproduces the exact same bound computation.
     """
-    witness = evidence.witness
-    check = evidence.check
+    (witness, check, config) = (evidence.witness, evidence.check, evidence.config)
     if check.verdict != "verified":
         raise InputError("only a verified witness yields a certificate")
     return {
@@ -447,14 +446,14 @@ def normed_document(pda, start, evidence):
     }
 
 
-def verdict_document(pda, start, verdict, config=AnalysisConfig()):
-    """Certificate document for a definite regularity verdict reached under ``config``."""
+def verdict_document(pda, start, verdict):
+    """Certificate document for a definite regularity verdict."""
     if verdict.kind == "regular":
         return comparison_document(pda, verdict.certificate)
     if verdict.kind == "nonregular" and isinstance(verdict.certificate, NormedEvidence):
         return normed_document(pda, start, verdict.certificate)
     if verdict.kind == "nonregular":
-        return witness_document(pda, start, verdict.certificate, config)
+        return witness_document(pda, start, verdict.certificate)
     raise InputError("an unknown verdict certifies nothing")
 
 
@@ -574,7 +573,7 @@ def _check_regular(doc):
 def _check_witness(doc):
     bound = _integer(doc, "bound")
     base_level = _integer(doc, "base_level")
-    (oracle, start, witness, config) = _witness_from(doc)
+    (oracle, witness) = _witness_from(doc)
     if witness.pump.bound != bound:
         return CheckResult(
             False,
@@ -582,7 +581,7 @@ def _check_witness(doc):
             "recomputed bound %d does not match the stored %r"
             % (witness.pump.bound, bound),
         )
-    check = verify_witness(oracle, witness, config)
+    check = verify_witness(oracle, witness)
     if check.verdict != "verified":
         return CheckResult(
             False, "witness", "re-verification was not conclusive: %s" % (check.reason,)

@@ -359,7 +359,7 @@ def cmd_regcheck(args, out):
     def cert_doc():
         if verdict.kind == "unknown":
             return None
-        return certs.verdict_document(pda, start, verdict, settings)
+        return certs.verdict_document(pda, start, verdict)
 
     _write_cert(args, cert_doc, lines, report)
     _emit(args, lines, report, out)
@@ -475,8 +475,7 @@ def cmd_witness_verify(args, out):
             "a normed-witness document rests on the norm, not on pump games;"
             " check it with certcheck"
         )
-    (oracle, start, witness, config) = certs.witness_from_document(doc)
-    check = verify_witness(oracle, witness, config)
+    check = verify_witness(*certs.witness_from_document(doc))
     report = {
         "command": "witness-verify",
         "input": args.cert,

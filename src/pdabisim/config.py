@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import InputError
-from .reachability import TRUNCATION_DEPTH_LIMIT
+
+TRUNCATION_DEPTH_LIMIT = 12  # the deepest truncation reachability enumerates
 
 
 @dataclass(frozen=True)
@@ -14,13 +15,13 @@ class AnalysisConfig:
 
     cutoff bounds eq-level games, omega_budget bounds bisimulation-relation
     search (0 turns it off), truncation_max bounds the positive side's depth
-    ladder (0 turns the positive search off), path_budget bounds loop-path
-    exploration and the total length of a normed witness's emptying
-    sequences, candidate_budget the number of witnesses tried, and
-    region_cap the states explored around a pump limit.  The pump argument
-    runs its relation searches with the derived ``pump_omega_budget``.  A
-    non-regularity witness document stores cutoff, omega_budget and
-    region_cap, so the checker rebuilds this object from them.
+    ladder below ``TRUNCATION_DEPTH_LIMIT`` (0 turns it off), path_budget
+    bounds loop-path exploration and the total length of a normed witness's
+    emptying sequences, candidate_budget the number of witnesses tried, and
+    region_cap the states explored around a pump limit; the pump argument's
+    relation searches get the derived ``pump_omega_budget``.  Every layer
+    reads it off the analysis' ``PdaOracle``, and a witness document stores
+    the cutoff, omega_budget and region_cap its verdict was decided under.
     """
 
     cutoff: int = 64
@@ -40,10 +41,10 @@ class AnalysisConfig:
                 raise InputError(
                     "%s must be an integer of at least %d, got %r" % (field.name, least, value)
                 )
-        if self.truncation_max > TRUNCATION_DEPTH_LIMIT:
+        if self.truncation_max >= TRUNCATION_DEPTH_LIMIT:
             raise InputError(
                 "truncation_max is capped at %d, got %d"
-                % (TRUNCATION_DEPTH_LIMIT, self.truncation_max)
+                % (TRUNCATION_DEPTH_LIMIT - 1, self.truncation_max)
             )
 
     @property

@@ -82,21 +82,17 @@ class AbsorbingOracle(PdaOracle):
     material collapse), which is what makes exhaustive region exploration
     feasible.  Being bisimilar, both graphs share the pop-horizon game key
     of ``PdaOracle``, so absorbed and raw configurations share game results.
-    It is a view of the analysis' ``PdaOracle`` ``raw``: it reads that
-    oracle's table and shares its absorptions, and memoizes its own
-    successor lists, so the region walk, the refinement and the relation
-    search of one query step each state once.
+    It is a view of the analysis' ``PdaOracle`` ``raw``: it takes that
+    oracle's config, table and floors and shares its absorptions, and
+    memoizes its own successor lists, so the region walk, the refinement
+    and the relation search of one query step each state once.
     """
 
     def __init__(self, raw):
-        super().__init__(raw.pda)
+        super().__init__(raw.pda, raw.config)
         self.raw = raw
-        self.absorbed = raw.absorbed
+        (self.table, self.floors, self.absorbed) = (raw.table, raw.floors, raw.absorbed)
         self._succ = {}
-
-    @property
-    def table(self):
-        return self.raw.table
 
     def absorb(self, config):
         got = self.absorbed.get(config)
@@ -239,8 +235,10 @@ def _finite_graph_route(oracle, left, right, cap):
     never changes an answer, it only gives up sooner.  ``left`` and
     ``right`` are raw configurations: a separating strategy is played on
     the absorbed graph and replayed on them.  Returns an EqLevelResult, or
-    None when a region blows the cap.
+    None when a region blows the cap (a cap of 0 turns the route off).
     """
+    if cap < 1:
+        return None
     raw = (left, right)
     (left, right) = (oracle.absorb(left), oracle.absorb(right))
     try:
@@ -288,17 +286,18 @@ def certify_bisimilar(
     Three arguments are attempted in order of cost: equality after dead-tail
     absorption, exhaustive comparison of finite absorbed regions of up to
     ``budget`` states, and a greedy self-covering relation search whose
-    defender choices are guided by bounded probes in ``ctx``.  ``oracle``
-    is the analysis' ``PdaOracle``, or an ``AbsorbingOracle`` view of it
-    whose memos the caller shares.  Returns an EqLevelResult ("omega", or
-    "finite" when the finite-graph route decides negatively) or None when
-    nothing sticks.  ``eqlevel_configs`` tries the first two arguments
-    earlier, under lower caps, and calls this only for the pairs they leave.
+    defender choices are guided by bounded probes in ``ctx`` (a ``budget``
+    of 0 leaves only the first).  ``oracle`` is the analysis' ``PdaOracle``,
+    or an ``AbsorbingOracle`` view of it whose memos the caller shares.
+    Returns an EqLevelResult ("omega", or "finite" when the finite-graph
+    route decides negatively) or None when nothing sticks.
+    ``eqlevel_configs`` tries the first two arguments earlier, under lower
+    caps, and calls this only for the pairs they leave.
     """
     if not isinstance(oracle, AbsorbingOracle):
         oracle = AbsorbingOracle(oracle)
     equal = _certify_equal(oracle, left, right)
-    if equal is not None:
+    if equal is not None or budget < 1:
         return equal
     finite = _finite_graph_route(oracle, left, right, budget)
     if finite is not None:
@@ -426,7 +425,7 @@ class LevelBound:
     pairs: int
 
 
-def limit_level_bound(oracle, control, top, period, config=AnalysisConfig()):
+def limit_level_bound(oracle, control, top, period):
     """Bound the finite eq-levels around the limit configuration.
 
     For the limit configuration (control, top period^w): iterate the period's
@@ -434,12 +433,12 @@ def limit_level_bound(oracle, control, top, period, config=AnalysisConfig()):
     L; then compare every configuration within the derivation radius of the
     limit against the limit configurations of L, recording the largest
     finite equivalence level.  Only the levels are read, so the climbs
-    build no attacker strategy.  The games stop at ``config.cutoff``, the
-    region at ``config.region_cap`` states, and each relation search at
-    ``config.pump_omega_budget`` pairs, all on one absorbing view of
-    ``oracle``.  Returns (LevelBound, PeriodIteration).
+    build no attacker strategy.  The games stop at the cutoff of
+    ``oracle.config``, the region at its ``region_cap`` states, and each
+    relation search at its ``pump_omega_budget`` pairs, all on one
+    absorbing view of ``oracle``.  Returns (LevelBound, PeriodIteration).
     """
-    table = oracle.table
+    (table, config) = (oracle.table, oracle.config)
     iteration = period_iteration(table, control, top, tuple(period))
     stable = sorted(iteration.cycle_set)
     if not stable:

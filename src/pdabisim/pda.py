@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .config import AnalysisConfig
 from .errors import InputError
 from .lts import SuccessorOracle
 from .transformers import compute_transformers
@@ -258,13 +259,14 @@ class PdaOracle(SuccessorOracle):
     before any transformer table is built, and since the key is the one the
     floor walk gives, so is the answer.
 
-    One oracle serves one analysis and owns what it derives from the pda:
-    the transformer table, built on first use, the floors read off it, and
-    the absorptions (``absorbed``) its ``AbsorbingOracle`` views share.
+    One oracle serves one analysis, carries its budgets (``config``) and
+    owns what it derives from the pda: the transformer table, built on first
+    use, the floors read off it, and the absorptions its views share.
     """
 
-    def __init__(self, pda):
+    def __init__(self, pda, config=AnalysisConfig()):
         self.pda = pda
+        self.config = config
         self.absorbed = {}
 
     def successors(self, config):

@@ -39,6 +39,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .config import TRUNCATION_DEPTH_LIMIT
 from .errors import BudgetError, InputError
 from .pda import (
     Config,
@@ -50,8 +51,6 @@ from .pda import (
 )
 
 EPS = ""
-
-TRUNCATION_DEPTH_LIMIT = 12
 
 
 @dataclass(frozen=True)

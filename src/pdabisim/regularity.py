@@ -42,7 +42,7 @@ from .pda import (
     step,
     validate_config,
 )
-from .reachability import TRUNCATION_DEPTH_LIMIT, reach_automaton, reachable_key_cuts
+from .reachability import reach_automaton, reachable_key_cuts
 from .equivalence import (
     _compare_with_finite,
     _eqlevel_ladder,
@@ -158,16 +158,16 @@ class StairSearch:
     Candidates come out batch-per-level, stamped ones first, shorter ones
     next, so the most promising witnesses are tried early.  The search stops
     either because every path ended (``exhausted``: the stack height is
-    bounded, a strong regularity signal) or because ``path_budget`` nodes
-    were expanded (``budget_hit``).  The stamps read ``oracle.table``.
+    bounded, a strong regularity signal) or because ``oracle.config.path_budget``
+    nodes were expanded (``budget_hit``).  The stamps read ``oracle.table``.
     """
 
-    def __init__(self, oracle, start, path_budget=AnalysisConfig.path_budget):
+    def __init__(self, oracle, start):
         pda = oracle.pda
         validate_config(pda, start)
         self.pda = pda
         self.start = start
-        self.path_budget = path_budget
+        self.path_budget = oracle.config.path_budget
         self.table = oracle.table
         self.nodes = 0
         self.exhausted = False
@@ -343,10 +343,10 @@ class PumpBound:
     bound: int
 
 
-def pump_bound(oracle, candidate, config=AnalysisConfig()):
-    """Compute the separation bound for a loop candidate on the analysis' ``PdaOracle``."""
+def pump_bound(oracle, candidate):
+    """The separation bound of a loop candidate, under the budgets of ``oracle.config``."""
     (levels, iteration) = limit_level_bound(
-        oracle, candidate.control, candidate.symbol, candidate.period, config
+        oracle, candidate.control, candidate.symbol, candidate.period
     )
     reach = iteration.preperiod + iteration.cycle_length
     return PumpBound(
@@ -464,7 +464,7 @@ def replay_loop(pda, start, loop):
     )
 
 
-def verify_witness(oracle, witness, config=AnalysisConfig()):
+def verify_witness(oracle, witness):
     """Re-check a witness from scratch.
 
     The loop is replayed first (``replay_loop``); then the equivalence
@@ -476,8 +476,8 @@ def verify_witness(oracle, witness, config=AnalysisConfig()):
     each cap counts only its own call's work), then the climb to the
     cutoff.  The order only moves evidence earlier, so the levels are
     those of climbing to the cutoff first.  The games run on ``oracle`` in
-    a context of their own.  Malformed witnesses raise InputError;
-    well-formed ones always get a verdict.
+    a context of their own, under the ``oracle.config`` of the pump bound.
+    Malformed witnesses raise InputError; well-formed ones get a verdict.
     """
     validate_config(oracle.pda, witness.start)
     replay_loop(oracle.pda, witness.start, witness.loop)
@@ -490,7 +490,7 @@ def verify_witness(oracle, witness, config=AnalysisConfig()):
     for copies in (bound, bound + cycle, bound + 2 * cycle):
         pumped = pumped_config(witness.loop, copies)
         result = _eqlevel_ladder(
-            ctx, pumped, limit, config.cutoff, config.omega_budget, GameContext.level
+            ctx, pumped, limit, oracle.config.cutoff, oracle.config.omega_budget, GameContext.level
         )
         checks.append((copies, result))
     (_, base) = checks[0]
@@ -516,7 +516,7 @@ def verify_witness(oracle, witness, config=AnalysisConfig()):
         )
     else:
         verdict = "exhausted"
-        reason = "no separation up to the cutoff %d" % (config.cutoff,)
+        reason = "no separation up to the cutoff %d" % (oracle.config.cutoff,)
 
     certified = (
         verdict == "verified" and witness.pump.levels.exact and corroborated is True
@@ -547,14 +547,14 @@ class PositiveSearch:
 
     The search builds its reachability automaton on the first attempt and
     keeps it.  Each attempt's depth-(n+1) keys are the next attempt's
-    depth-n ones, so every depth is enumerated once.
+    depth-n ones, so every depth is enumerated once, up to ``truncation_max``.
     """
 
-    def __init__(self, oracle, start, truncation_max=AnalysisConfig.truncation_max):
+    def __init__(self, oracle, start):
         validate_config(oracle.pda, start)
         self.pda = oracle.pda
         self.start = start
-        self.max_level = min(truncation_max, TRUNCATION_DEPTH_LIMIT - 1)
+        self.max_level = oracle.config.truncation_max
         self.level = 0
         self.oracle = oracle
         self.ctx = GameContext(self.oracle, self.oracle)
@@ -658,10 +658,11 @@ class PositiveSearch:
 
 @dataclass(frozen=True)
 class NonRegularityEvidence:
-    """A verified witness together with its verification record."""
+    """A verified witness, its verification record, and the config of both."""
 
     witness: Witness
     check: WitnessCheck
+    config: AnalysisConfig
 
 
 @dataclass(frozen=True)
@@ -716,12 +717,12 @@ def _emptying_rules(pda, dist, control, symbol, end):
     return tuple(rules)
 
 
-def emptying_sequences(oracle, limit):
+def emptying_sequences(oracle):
     """One shortest emptying rule sequence per (control, symbol) pair.
 
     None when some pair cannot pop its symbol (the process is not fully
-    normed) or when the sequences would hold more than ``limit`` rules in
-    all.
+    normed) or when the sequences would hold more than the ``path_budget``
+    of ``oracle.config`` rules in all.
     """
     (pda, table) = (oracle.pda, oracle.table)
     dist = dict(table.shortest)
@@ -732,7 +733,7 @@ def emptying_sequences(oracle, limit):
     pairs = [(p, x) for p in sorted(pda.controls) for x in sorted(pda.stack_alphabet)]
     if any(pair not in cheapest for pair in pairs):
         return None
-    if sum(cheapest[pair][0] for pair in pairs) > limit:
+    if sum(cheapest[pair][0] for pair in pairs) > oracle.config.path_budget:
         return None
     return tuple(
         ((p, x), _emptying_rules(pda, dist, p, x, cheapest[(p, x)][1])) for (p, x) in pairs
@@ -773,10 +774,10 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
     never waits on refuted pump games.  Returns the first verdict either
     side establishes.  When both sides exhaust their budgets (all taken
     from ``config``) the verdict is honestly "unknown" with the search
-    statistics attached.  One ``PdaOracle`` serves the whole analysis.
+    statistics attached.  One ``PdaOracle`` carries ``config`` through it.
     """
     validate_config(pda, start)
-    oracle = PdaOracle(pda)
+    oracle = PdaOracle(pda, config)
     if not step(pda, start):
         halt = FiniteLts(frozenset(["halt"]), pda.actions, frozenset())
         comparison = _compare_with_finite(oracle, start, halt, "halt", None)
@@ -787,8 +788,8 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
         )
         return Verdict("regular", "certified", "positive", comparison, stats)
 
-    search = StairSearch(oracle, start, config.path_budget)
-    positive = PositiveSearch(oracle, start, config.truncation_max)
+    search = StairSearch(oracle, start)
+    positive = PositiveSearch(oracle, start)
     candidates = iter(search)
     negative_done = False
     examined = 0
@@ -804,7 +805,7 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
 
     emptying = None
     if not start.stack.period:
-        emptying = emptying_sequences(oracle, config.path_budget)
+        emptying = emptying_sequences(oracle)
     if emptying is not None:
         # every candidate's loop grows the stack: its period is non-empty
         candidate = next(candidates, None)
@@ -827,15 +828,15 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
                     negative_done = True
                     break
                 examined += 1
-                witness = Witness(start, candidate, pump_bound(oracle, candidate, config))
-                check = verify_witness(oracle, witness, config)
+                witness = Witness(start, candidate, pump_bound(oracle, candidate))
+                check = verify_witness(oracle, witness)
                 if check.verdict == "verified":
                     exactness = "certified" if check.certified else "modulo-cutoff"
                     return Verdict(
                         "nonregular",
                         exactness,
                         "negative",
-                        NonRegularityEvidence(witness, check),
+                        NonRegularityEvidence(witness, check, config),
                         stats(),
                     )
                 if examined >= config.candidate_budget:

@@ -13,6 +13,7 @@ import random
 import time
 
 from pdabisim import (
+    AnalysisConfig,
     Config,
     FiniteLts,
     FiniteLtsOracle,
@@ -584,7 +585,7 @@ def _periodic_moves(pda, state):
 
 def test_criterion_08_pump_bound_decomposition():
     candidate = None
-    for found in StairSearch(PdaOracle(COUNTER), COUNTER_START, path_budget=500):
+    for found in StairSearch(PdaOracle(COUNTER, AnalysisConfig(path_budget=500)), COUNTER_START):
         candidate = found
         break
     assert candidate is not None

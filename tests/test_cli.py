@@ -442,7 +442,8 @@ def test_zero_budgets_turn_searches_off(files, capsys):
     assert code != 3
     assert "stat positive-levels: 0" in out
     code = main(["eqlevel", files["twin.pda"], "p[X]", "q[X]", "--omega-budget", "0"])
-    assert code != 3
+    assert code == 2
+    assert "result: at-least" in capsys.readouterr().out
 
 
 def test_malformed_witness_documents_exit_3(files, capsys):

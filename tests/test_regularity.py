@@ -41,7 +41,7 @@ def fin(control, *symbols):
 
 
 def first_candidate(pda, start, budget=500):
-    for candidate in StairSearch(PdaOracle(pda), start, path_budget=budget):
+    for candidate in StairSearch(PdaOracle(pda, AnalysisConfig(path_budget=budget)), start):
         return candidate
     raise AssertionError("no loop candidate found")
 
@@ -63,7 +63,7 @@ def test_twocycle_loop_candidate(twocycle, twocycle_start):
 
 
 def test_stamped_candidates_sort_first(counter, counter_start):
-    search = StairSearch(PdaOracle(counter), counter_start, path_budget=400)
+    search = StairSearch(PdaOracle(counter, AnalysisConfig(path_budget=400)), counter_start)
     seen = [c.stamped for c in search]
     assert seen
     assert seen[0]
@@ -106,8 +106,9 @@ def test_counter_witness_verifies(counter, counter_start):
 
 def test_witness_exhausts_under_tiny_cutoff(counter, counter_start):
     candidate = first_candidate(counter, counter_start)
-    witness = Witness(counter_start, candidate, pump_bound(PdaOracle(counter), candidate))
-    check = verify_witness(PdaOracle(counter), witness, AnalysisConfig(cutoff=2, omega_budget=0))
+    oracle = PdaOracle(counter, AnalysisConfig(cutoff=2, omega_budget=0))
+    witness = Witness(counter_start, candidate, pump_bound(oracle, candidate))
+    check = verify_witness(oracle, witness)
     assert check.verdict == "exhausted"
     assert not check.certified
 
@@ -349,10 +350,13 @@ def test_normed_route_needs_a_finite_start():
 def test_normed_route_keeps_to_the_path_budget():
     # emptying sequences longer than the path budget send the process to the race
     pda = random_pda(random.Random(2010), 3, 3, 8)
-    oracle = PdaOracle(pda)
-    total = sum(len(rules) for (_, rules) in regularity.emptying_sequences(oracle, 10 ** 6))
-    assert regularity.emptying_sequences(oracle, total) is not None
-    assert regularity.emptying_sequences(oracle, total - 1) is None
+
+    def emptying(budget):
+        return regularity.emptying_sequences(PdaOracle(pda, AnalysisConfig(path_budget=budget)))
+
+    total = sum(len(rules) for (_, rules) in emptying(10 ** 6))
+    assert emptying(total) is not None
+    assert emptying(total - 1) is None
 
 
 def test_one_transformer_table_per_analysis_and_none_kept_after_it(monkeypatch):
