@@ -226,7 +226,7 @@ def _replay_strategy(doc, left, right, oracle_left, oracle_right, dec_left, dec_
     (mover, oracle_mover, dec_mover) = sides[side]
     (other, oracle_other, dec_other) = sides[1 - side]
     target = dec_mover(doc["target"])
-    if (action, target) not in tuple(oracle_mover.successors(mover)):
+    if (action, target) not in oracle_mover.successors(mover):
         return False
     answers = {t for (a, t) in oracle_other.successors(other) if a == action}
     replies = {dec_other(enc): sub for (enc, sub) in doc["replies"]}
@@ -408,10 +408,10 @@ def witness_from_document(doc):
 def witness_document(pda, start, evidence):
     """Certificate document for a verified non-regularity witness.
 
-    The budgets of the config the evidence was decided under are embedded,
-    so the checker reproduces the exact same bound computation.
+    The budgets the pump bound was computed under are embedded, so the
+    checker reproduces the exact same bound computation.
     """
-    (witness, check, config) = (evidence.witness, evidence.check, evidence.config)
+    (witness, check, config) = (evidence.witness, evidence.check, evidence.witness.pump.config)
     if check.verdict != "verified":
         raise InputError("only a verified witness yields a certificate")
     return {

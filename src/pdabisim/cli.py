@@ -195,19 +195,6 @@ def parse_config_literal(text):
     return Config(control, canonicalize(StackWord(prefix, period)))
 
 
-def serialize_pda(pda, init=None):
-    """The pda file text for a process (round-trips through parse_pda)."""
-    lines = ["pda"]
-    lines.append("controls: " + " ".join(sorted(pda.controls)))
-    lines.append("alphabet: " + " ".join(sorted(pda.actions)))
-    lines.append("stack: " + " ".join(sorted(pda.stack_alphabet)))
-    if init is not None:
-        lines.append("init: %s %s" % (init.control, " ".join(init.stack.prefix)))
-    for rule in pda.rules:
-        lines.append(rule.format())
-    return "\n".join(lines) + "\n"
-
-
 def serialize_lts(lts):
     """The finite-system file text (round-trips through parse_lts)."""
     lines = ["lts"]

@@ -3,8 +3,9 @@
 The bounded game engine in ``lts`` answers "do these two states agree for k
 rounds".  This module layers the pushdown-specific machinery on top of it:
 
-* dead-tail absorption, a semantics-preserving stack truncation that makes
-  many growing-stack processes literally equal as configurations;
+* bisimulation certificates that rest on dead-tail absorption
+  (``pda.absorb_dead_tail``), a semantics-preserving stack truncation that
+  makes many growing-stack processes literally equal as configurations;
 * ``eqlevel_configs``, which seeks the cheapest evidence first: one round
   of the game, equality after absorption, a shallow climb, the finite-graph
   route capped by the work done so far, and only then the full climb and
@@ -30,7 +31,16 @@ from .lts import (
     refine_blocks,
     region,
 )
-from .pda import Config, PdaOracle, StackWord, TruncatedConfig, step, validate_config
+from .pda import (
+    AbsorbingOracle,
+    Config,
+    PdaOracle,
+    StackWord,
+    TruncatedConfig,
+    absorb_dead_tail,
+    step,
+    validate_config,
+)
 from .reachability import (
     TRUNCATION_DEPTH_LIMIT,
     completion,
@@ -38,75 +48,7 @@ from .reachability import (
     reachable_key_cuts,
     reachable_truncations,
 )
-from .transformers import apply_set_transformer, period_iteration
-
-
-def absorb_dead_tail(table, config):
-    """Cut the stack at the first position that can never become the top.
-
-    Walking the stack from the top while pushing the control set through the
-    emptying relation, the set may become empty; from that point on no symbol
-    is ever exposed, so the configuration behaves exactly like the one cut
-    there.  The result is therefore interchangeable with the input in any
-    behavioural question, and a finite stack often replaces an infinite one.
-    ``table`` is the process's transformer table (``PdaOracle.table``).
-    """
-    prefix = config.stack.prefix
-    period = config.stack.period
-    controls = frozenset([config.control])
-    for (i, _) in enumerate(prefix):
-        if not controls:
-            return Config(config.control, StackWord.finite(prefix[:i]))
-        controls = apply_set_transformer(table, controls, (prefix[i],))
-    if not period:
-        return config
-    unrolled = list(prefix)
-    seen = set()
-    pos = 0
-    while True:
-        if not controls:
-            return Config(config.control, StackWord.finite(unrolled))
-        if (pos, controls) in seen:
-            return config
-        seen.add((pos, controls))
-        unrolled.append(period[pos])
-        controls = apply_set_transformer(table, controls, (period[pos],))
-        pos = (pos + 1) % len(period)
-
-
-class AbsorbingOracle(PdaOracle):
-    """Successor oracle that absorbs dead tails after every step.
-
-    The absorbed graph is pointwise bisimilar to the raw one but often
-    finite where the raw graph is not (stacks that only ever grow dead
-    material collapse), which is what makes exhaustive region exploration
-    feasible.  Being bisimilar, both graphs share the pop-horizon game key
-    of ``PdaOracle``, so absorbed and raw configurations share game results.
-    It is a view of the analysis' ``PdaOracle`` ``raw``: it takes that
-    oracle's config, table and floors and shares its absorptions, and
-    memoizes its own successor lists, so the region walk, the refinement
-    and the relation search of one query step each state once.
-    """
-
-    def __init__(self, raw):
-        super().__init__(raw.pda, raw.config)
-        self.raw = raw
-        (self.table, self.floors, self.absorbed) = (raw.table, raw.floors, raw.absorbed)
-        self._succ = {}
-
-    def absorb(self, config):
-        got = self.absorbed.get(config)
-        if got is None:
-            got = absorb_dead_tail(self.table, config)
-            self.absorbed[config] = got
-        return got
-
-    def successors(self, config):
-        got = self._succ.get(config)
-        if got is None:
-            got = tuple((a, self.absorb(c)) for (a, c) in step(self.pda, config))
-            self._succ[config] = got
-        return got
+from .transformers import period_iteration
 
 
 def _ordered_pair(c, d):
@@ -237,8 +179,6 @@ def _finite_graph_route(oracle, left, right, cap):
     the absorbed graph and replayed on them.  Returns an EqLevelResult, or
     None when a region blows the cap (a cap of 0 turns the route off).
     """
-    if cap < 1:
-        return None
     raw = (left, right)
     (left, right) = (oracle.absorb(left), oracle.absorb(right))
     try:
@@ -287,29 +227,29 @@ def certify_bisimilar(
     absorption, exhaustive comparison of finite absorbed regions of up to
     ``budget`` states, and a greedy self-covering relation search whose
     defender choices are guided by bounded probes in ``ctx`` (a ``budget``
-    of 0 leaves only the first).  ``oracle`` is the analysis' ``PdaOracle``,
-    or an ``AbsorbingOracle`` view of it whose memos the caller shares.
-    Returns an EqLevelResult ("omega", or "finite" when the finite-graph
-    route decides negatively) or None when nothing sticks.
-    ``eqlevel_configs`` tries the first two arguments earlier, under lower
-    caps, and calls this only for the pairs they leave.
+    of 0 leaves only the first).  ``oracle`` is the analysis' ``PdaOracle``;
+    the arguments run on its ``absorbing`` view, and the probes, without a
+    ``ctx``, in a fresh ``GameContext`` on ``oracle``.  Returns an
+    EqLevelResult ("omega", or "finite" when the finite-graph route decides
+    negatively) or None when nothing sticks.  ``eqlevel_configs`` tries the
+    first two arguments earlier, under lower caps, and calls this only for
+    the pairs they leave.
     """
-    if not isinstance(oracle, AbsorbingOracle):
-        oracle = AbsorbingOracle(oracle)
-    equal = _certify_equal(oracle, left, right)
+    absorbing = oracle.absorbing
+    equal = _certify_equal(absorbing, left, right)
     if equal is not None or budget < 1:
         return equal
-    finite = _finite_graph_route(oracle, left, right, budget)
+    finite = _finite_graph_route(absorbing, left, right, budget)
     if finite is not None:
         return finite
-    a = oracle.absorb(left)
-    b = oracle.absorb(right)
-    probe_ctx = ctx if ctx is not None else GameContext(oracle.raw, oracle.raw)
+    a = absorbing.absorb(left)
+    b = absorbing.absorb(right)
+    probe_ctx = ctx if ctx is not None else GameContext(oracle, oracle)
 
     def agree(x, y):
         return probe_ctx.bisim(x, y, probe_depth)
 
-    pairs = _closure_search(oracle, a, b, budget, agree)
+    pairs = _closure_search(absorbing, a, b, budget, agree)
     if pairs is not None:
         cert = BisimCertificate("closure", _ordered_pair(a, b), pairs)
         if check_coverage(oracle, cert):
@@ -363,10 +303,10 @@ def _eqlevel_ladder(ctx, left, right, cutoff, omega_budget, climb):
     2. equality after absorption;
     3. the climb to the probe depth min(8, cutoff);
     4. the finite-graph route, once, kept only when it proves the pair
-       bisimilar.  Its region cap is the number of states this call's games
-       have expanded so far (``GameContext.expanded``), never more than
-       ``omega_budget``, so no region holds more states than the games
-       expanded;
+       bisimilar.  Its region cap is the number of states this call has
+       newly stepped on the oracle ``ctx`` plays on (the growth of its
+       ``expanded``), never more than ``omega_budget``, so no region holds
+       more states than the call's games stepped;
     5. the climb to ``cutoff``, whose rounds up to the probe depth are memo
        hits, and ``certify_bisimilar`` at the full budget.
 
@@ -376,18 +316,19 @@ def _eqlevel_ladder(ctx, left, right, cutoff, omega_budget, climb):
     games.  A pair the early route certifies is bisimilar, so the climb
     would reach AtLeast(cutoff), and a region complete under the lower cap
     is the one the full cap finds, so ``certify_bisimilar`` would return
-    the same relation.  One ``AbsorbingOracle``, a view of the oracle
-    ``ctx`` plays on, serves the whole call.
+    the same relation.  The absorbing view of the oracle ``ctx`` plays on
+    serves the whole call.
     """
-    validate_config(ctx.left.pda, left)
-    validate_config(ctx.left.pda, right)
+    oracle = ctx.left
+    validate_config(oracle.pda, left)
+    validate_config(oracle.pda, right)
     if cutoff < 1:
         raise InputError("cutoff must be >= 1, got %r" % (cutoff,))
-    expanded = ctx.expanded
+    expanded = oracle.expanded
     bounded = climb(ctx, left, right, 1)
     if bounded.is_finite:
         return bounded
-    absorbing = AbsorbingOracle(ctx.left)
+    absorbing = oracle.absorbing
     equal = _certify_equal(absorbing, left, right)
     if equal is not None:
         return equal
@@ -395,7 +336,7 @@ def _eqlevel_ladder(ctx, left, right, cutoff, omega_budget, climb):
     bounded = climb(ctx, left, right, probe_depth)
     if bounded.is_finite:
         return bounded
-    cap = min(omega_budget, ctx.expanded - expanded)
+    cap = min(omega_budget, oracle.expanded - expanded)
     early = _finite_graph_route(absorbing, left, right, cap)
     if early is not None and early.is_omega:
         return early
@@ -403,7 +344,7 @@ def _eqlevel_ladder(ctx, left, right, cutoff, omega_budget, climb):
     if bounded.is_finite:
         return bounded
     certified = certify_bisimilar(
-        absorbing, left, right, budget=omega_budget, probe_depth=probe_depth, ctx=ctx
+        oracle, left, right, budget=omega_budget, probe_depth=probe_depth, ctx=ctx
     )
     if certified is not None:
         return certified
@@ -435,7 +376,7 @@ def limit_level_bound(oracle, control, top, period):
     finite equivalence level.  Only the levels are read, so the climbs
     build no attacker strategy.  The games stop at the cutoff of
     ``oracle.config``, the region at its ``region_cap`` states, and each
-    relation search at its ``pump_omega_budget`` pairs, all on one
+    relation search at its ``pump_omega_budget`` pairs, all on the
     absorbing view of ``oracle``.  Returns (LevelBound, PeriodIteration).
     """
     (table, config) = (oracle.table, oracle.config)
@@ -445,7 +386,7 @@ def limit_level_bound(oracle, control, top, period):
         return LevelBound(0, True, 0), iteration
     reach = iteration.preperiod + iteration.cycle_length
     radius = (1 + len(period) * reach) * max(1, table.bound)
-    absorbing = AbsorbingOracle(oracle)
+    absorbing = oracle.absorbing
     center = absorbing.absorb(Config(control, StackWord.repeating((top,), period)))
     exact = True
     try:
@@ -465,7 +406,7 @@ def limit_level_bound(oracle, control, top, period):
                 value = max(value, got.value)
                 continue
             settled = certify_bisimilar(
-                absorbing, near, lim, budget=config.pump_omega_budget, probe_depth=4
+                oracle, near, lim, budget=config.pump_omega_budget, probe_depth=4
             )
             if settled is None:
                 exact = False

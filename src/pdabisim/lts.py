@@ -43,10 +43,11 @@ class FiniteLts:
 class SuccessorOracle:
     """Deterministic successor enumeration over some (possibly infinite) LTS.
 
-    Implementations must return finitely many successors per state, in a
-    fixed order, and must provide a ``game_key`` that determines the state's
-    behaviour up to the given game depth (for plain finite systems the state
-    itself; richer systems may collapse states that agree to that depth).
+    Implementations must return finitely many successors per state, as a
+    tuple in a fixed order, and must provide a ``game_key`` that determines
+    the state's behaviour up to the given game depth (for plain finite
+    systems the state itself; richer systems may collapse states that agree
+    to that depth).
     """
 
     def successors(self, state):
@@ -140,36 +141,15 @@ class GameContext:
 
     Game results are cached per depth under each side's depth-determining
     abstraction, so repeated queries (and deeper queries that revisit the
-    same sub-games) share work.  ``expanded`` counts the states whose
-    successors the games have read, a measure of the work done so far.
+    same sub-games) share work.  The context keeps game results and
+    strategies only: successor lists are the oracles' own to memoize.
     """
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.expanded = 0
         self._memo = {}
         self._strategies = {}
-        self._succ_l = {}
-        self._succ_r = {}
-
-    def _lsucc(self, state):
-        got = self._succ_l.get(state)
-        if got is None:
-            got = tuple(self.left.successors(state))
-            self._succ_l[state] = got
-            self.expanded += 1
-        return got
-
-    def _rsucc(self, state):
-        if self.right is self.left:
-            return self._lsucc(state)
-        got = self._succ_r.get(state)
-        if got is None:
-            got = tuple(self.right.successors(state))
-            self._succ_r[state] = got
-            self.expanded += 1
-        return got
 
     def bisim(self, s, t, k):
         """True iff no attacker wins within k rounds from (s, t)."""
@@ -188,8 +168,8 @@ class GameContext:
         return res
 
     def _covered(self, s, t, k):
-        ls = self._lsucc(s)
-        rs = self._rsucc(t)
+        ls = self.left.successors(s)
+        rs = self.right.successors(t)
         for (a, s2) in ls:
             if not any(b == a and self.bisim(s2, t2, k - 1) for (b, t2) in rs):
                 return False
@@ -207,7 +187,7 @@ class GameContext:
         moves agree at every level, so they get AtLeast(cutoff) without a
         game.
         """
-        if not self._lsucc(s) and not self._rsucc(t):
+        if not self.left.successors(s) and not self.right.successors(t):
             return EqLevelResult.at_least(cutoff)
         for k in range(1, cutoff + 1):
             if not self.bisim(s, t, k):
@@ -229,8 +209,8 @@ class GameContext:
 
     def _distinguish(self, s, t, k):
         assert k >= 1
-        ls = self._lsucc(s)
-        rs = self._rsucc(t)
+        ls = self.left.successors(s)
+        rs = self.right.successors(t)
         for (a, s2) in ls:
             replies = [t2 for (b, t2) in rs if b == a]
             if all(not self.bisim(s2, t2, k - 1) for t2 in replies):
@@ -274,11 +254,14 @@ def region(oracle, start, radius, max_states=None):
     """All states reachable from ``start`` in at most ``radius`` steps.
 
     Stops early once no new states appear.  ``max_states`` is an optional
-    guardrail: exceeding it raises BudgetError carrying the partial set.
+    guardrail: exceeding it raises BudgetError carrying the partial set, so
+    a cap below 1, which ``start`` alone exceeds, raises with just ``start``.
     """
     if radius < 0:
         raise InputError("radius must be >= 0, got %r" % (radius,))
     seen = {start}
+    if max_states is not None and max_states < 1:
+        raise BudgetError("region cap %d admits no state" % (max_states,), partial=seen)
     frontier = [start]
     steps = 0
     while frontier and steps < radius:

@@ -7,7 +7,8 @@ word alpha.  There are no silent rules and the empty stack is a deadlock.
 Stack words may be finite or ultimately periodic (a finite prefix followed by
 an infinitely repeated period), and are kept in a canonical form so that two
 words are structurally equal exactly when they denote the same symbol
-sequence.
+sequence.  A ``PdaOracle`` presents one process to an analysis, and its
+``AbsorbingOracle`` view the same graph with dead stack tails cut off.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from .config import AnalysisConfig
 from .errors import InputError
 from .lts import SuccessorOracle
-from .transformers import compute_transformers
+from .transformers import apply_set_transformer, compute_transformers
 
 
 @dataclass(frozen=True, order=True)
@@ -260,17 +261,38 @@ class PdaOracle(SuccessorOracle):
     floor walk gives, so is the answer.
 
     One oracle serves one analysis, carries its budgets (``config``) and
-    owns what it derives from the pda: the transformer table, built on first
-    use, the floors read off it, and the absorptions its views share.
+    owns what it derives from the pda: its successor lists, memoized per
+    configuration (``expanded`` counts the configurations stepped), the
+    transformer table, built on first use, the floors read off it, and its
+    one ``absorbing`` view.  It holds no game context, so an analysis'
+    oracle is freed by reference counting alone.
     """
 
     def __init__(self, pda, config=AnalysisConfig()):
         self.pda = pda
         self.config = config
         self.absorbed = {}
+        self.expanded = 0
+        self._succ = {}
+        self._absorbing = None
 
     def successors(self, config):
-        return step(self.pda, config)
+        got = self._succ.get(config)
+        if got is None:
+            got = self._succ[config] = self._step(config)
+            self.expanded += 1
+        return got
+
+    def _step(self, config):
+        """The successors of a configuration not yet memoized; a view overrides it."""
+        return tuple(step(self.pda, config))
+
+    @property
+    def absorbing(self):
+        """The analysis' one ``AbsorbingOracle`` view, built on first use."""
+        if self._absorbing is None:
+            self._absorbing = AbsorbingOracle(self)
+        return self._absorbing
 
     @functools.cached_property
     def table(self):
@@ -305,6 +327,69 @@ class PdaOracle(SuccessorOracle):
             cost += floor
         kept = prefix[:i] if i <= len(prefix) else config.stack.expand(i)
         return (id(self.pda), config.control, kept)
+
+
+def absorb_dead_tail(table, config):
+    """Cut the stack at the first position that can never become the top.
+
+    Walking the stack from the top while pushing the control set through the
+    emptying relation, the set may become empty; from that point on no symbol
+    is ever exposed, so the configuration behaves exactly like the one cut
+    there.  The result is therefore interchangeable with the input in any
+    behavioural question, and a finite stack often replaces an infinite one.
+    ``table`` is the process's transformer table (``PdaOracle.table``).
+    """
+    prefix = config.stack.prefix
+    period = config.stack.period
+    controls = frozenset([config.control])
+    for (i, _) in enumerate(prefix):
+        if not controls:
+            return Config(config.control, StackWord.finite(prefix[:i]))
+        controls = apply_set_transformer(table, controls, (prefix[i],))
+    if not period:
+        return config
+    unrolled = list(prefix)
+    seen = set()
+    pos = 0
+    while True:
+        if not controls:
+            return Config(config.control, StackWord.finite(unrolled))
+        if (pos, controls) in seen:
+            return config
+        seen.add((pos, controls))
+        unrolled.append(period[pos])
+        controls = apply_set_transformer(table, controls, (period[pos],))
+        pos = (pos + 1) % len(period)
+
+
+class AbsorbingOracle(PdaOracle):
+    """Successor oracle that absorbs dead tails after every step.
+
+    The absorbed graph is pointwise bisimilar to the raw one but often
+    finite where the raw graph is not (stacks that only ever grow dead
+    material collapse), which is what makes exhaustive region exploration
+    feasible.  Being bisimilar, both graphs share the pop-horizon game key
+    of ``PdaOracle``, so absorbed and raw configurations share game results.
+    It is the ``absorbing`` view of an analysis' ``PdaOracle``: it takes
+    that oracle's config, table and floors and shares its absorptions, but
+    holds no reference to the oracle itself.  Its successor lists are
+    memoized like the oracle's, so every query of the analysis steps each
+    absorbed state once.
+    """
+
+    def __init__(self, raw):
+        super().__init__(raw.pda, raw.config)
+        (self.table, self.floors, self.absorbed) = (raw.table, raw.floors, raw.absorbed)
+
+    def absorb(self, config):
+        got = self.absorbed.get(config)
+        if got is None:
+            got = absorb_dead_tail(self.table, config)
+            self.absorbed[config] = got
+        return got
+
+    def _step(self, config):
+        return tuple((a, self.absorb(c)) for (a, c) in step(self.pda, config))
 
 
 def _fresh_symbol(base, taken):

@@ -34,14 +34,7 @@ from dataclasses import dataclass
 from .config import AnalysisConfig
 from .errors import BudgetError, InputError
 from .lts import FiniteLts, GameContext, bounded_bisim
-from .pda import (
-    Config,
-    PdaOracle,
-    StackWord,
-    canonicalize,
-    step,
-    validate_config,
-)
+from .pda import Config, PdaOracle, StackWord, canonicalize, validate_config
 from .reachability import reach_automaton, reachable_key_cuts
 from .equivalence import (
     _compare_with_finite,
@@ -333,7 +326,8 @@ class PumpBound:
     and ``levels`` bounds the finite equivalence levels between the limit
     region and the limit controls.  ``bound`` combines them: once the pumped
     configuration and the limit agree beyond it, they agree in a way no
-    finite system can sustain.
+    finite system can sustain.  ``config`` holds the budgets the bound was
+    computed under, the only ones a witness with it is verified under.
     """
 
     preperiod: int
@@ -341,6 +335,7 @@ class PumpBound:
     limit_controls: tuple
     levels: object          # LevelBound
     bound: int
+    config: AnalysisConfig
 
 
 def pump_bound(oracle, candidate):
@@ -355,6 +350,7 @@ def pump_bound(oracle, candidate):
         limit_controls=tuple(sorted(iteration.cycle_set)),
         levels=levels,
         bound=1 + levels.value + reach,
+        config=oracle.config,
     )
 
 
@@ -472,13 +468,19 @@ def verify_witness(oracle, witness):
     with a level-only climb, so no attacker strategy is built, and in its
     cheapest-first order: round one, equality after absorption, the climb
     to the probe depth, the finite-graph route capped by the states that
-    call's own games expanded (the three calls share one game context, so
-    each cap counts only its own call's work), then the climb to the
-    cutoff.  The order only moves evidence earlier, so the levels are
-    those of climbing to the cutoff first.  The games run on ``oracle`` in
-    a context of their own, under the ``oracle.config`` of the pump bound.
-    Malformed witnesses raise InputError; well-formed ones get a verdict.
+    call newly stepped on ``oracle``, whose successor memo serves the whole
+    analysis, then the climb to the cutoff.  The order only moves evidence
+    earlier, so the levels are those of climbing to the cutoff first.  The
+    games run on ``oracle`` in a context of their own, under
+    ``oracle.config``, which must be the config of the pump bound.
+    Malformed witnesses, and an oracle of other budgets, raise InputError;
+    well-formed ones get a verdict.
     """
+    if oracle.config != witness.pump.config:
+        raise InputError(
+            "the witness's pump bound was computed under %r, not the oracle's %r"
+            % (witness.pump.config, oracle.config)
+        )
     validate_config(oracle.pda, witness.start)
     replay_loop(oracle.pda, witness.start, witness.loop)
 
@@ -639,7 +641,7 @@ class PositiveSearch:
         for (ui, members) in enumerate(upp_classes):
             rep = members[0]
             src = names[projection[ui]]
-            for (act, succ) in step(self.pda, rep):
+            for (act, succ) in self.oracle.successors(rep):
                 j = self._classify(succ, low_reps, n)
                 if j is None:
                     return None
@@ -658,11 +660,10 @@ class PositiveSearch:
 
 @dataclass(frozen=True)
 class NonRegularityEvidence:
-    """A verified witness, its verification record, and the config of both."""
+    """A verified witness and its verification record."""
 
     witness: Witness
     check: WitnessCheck
-    config: AnalysisConfig
 
 
 @dataclass(frozen=True)
@@ -778,7 +779,7 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
     """
     validate_config(pda, start)
     oracle = PdaOracle(pda, config)
-    if not step(pda, start):
+    if not oracle.successors(start):
         halt = FiniteLts(frozenset(["halt"]), pda.actions, frozenset())
         comparison = _compare_with_finite(oracle, start, halt, "halt", None)
         stats = (
@@ -836,7 +837,7 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
                         "nonregular",
                         exactness,
                         "negative",
-                        NonRegularityEvidence(witness, check, config),
+                        NonRegularityEvidence(witness, check),
                         stats(),
                     )
                 if examined >= config.candidate_budget:

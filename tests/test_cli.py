@@ -14,8 +14,21 @@ from pdabisim.cli import (
     parse_lts,
     parse_pda,
     serialize_lts,
-    serialize_pda,
 )
+
+
+def serialize_pda(pda, init=None):
+    """The pda file text for a process (round-trips through parse_pda)."""
+    lines = ["pda"]
+    lines.append("controls: " + " ".join(sorted(pda.controls)))
+    lines.append("alphabet: " + " ".join(sorted(pda.actions)))
+    lines.append("stack: " + " ".join(sorted(pda.stack_alphabet)))
+    if init is not None:
+        lines.append("init: %s %s" % (init.control, " ".join(init.stack.prefix)))
+    for rule in pda.rules:
+        lines.append(rule.format())
+    return "\n".join(lines) + "\n"
+
 
 COUNTER = """\
 # a single counter over one control state

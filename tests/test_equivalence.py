@@ -1,6 +1,9 @@
 """Eq-levels between configurations and the finite-system decision."""
 
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -24,10 +27,12 @@ from pdabisim import (
     eqlevel_configs,
     certs,
     limit_level_bound,
+    step,
 )
 from pdabisim import equivalence
 from pdabisim.equivalence import absorb_dead_tail
 from pdabisim.reachability import completion, reach_automaton
+from pdabisim.regularity import StairSearch
 from pdabisim.transformers import compute_transformers
 
 from oracles import (
@@ -160,6 +165,67 @@ def test_limit_level_bound_on_counter(counter):
     assert bound.pairs == 1
     assert iteration.preperiod == 0
     assert iteration.cycle_length == 1
+
+
+def limit_case():
+    """A 4/4/12 process, its start, and a loop whose limit region holds 122 states."""
+    pda = random_pda(random.Random(5075), 4, 4, 12)
+    start = Config(sorted(pda.controls)[0], StackWord.finite((sorted(pda.stack_alphabet)[0],)))
+    candidate = next(iter(StairSearch(PdaOracle(pda), start)))
+    return (pda, start, (candidate.control, candidate.symbol, candidate.period))
+
+
+def test_one_oracle_steps_each_configuration_once_per_view(monkeypatch):
+    # the oracle and its absorbing view memoize their successor lists for
+    # the whole analysis: a second game context, or a second level bound
+    # on the same limit, steps nothing again
+    (pda, start, limit) = limit_case()
+    stepped = Counter()
+    original = step
+
+    def counting(pda, config):
+        stepped[config] += 1
+        return original(pda, config)
+
+    monkeypatch.setattr("pdabisim.pda.step", counting)
+    oracle = PdaOracle(pda)
+    other = step(pda, start)[0][1]
+    first = GameContext(oracle, oracle).level(start, other, 8)
+    games = sum(stepped.values())
+    assert games > 1 and set(stepped.values()) == {1}
+    assert GameContext(oracle, oracle).level(start, other, 8) == first
+    assert sum(stepped.values()) == games == oracle.expanded
+    bound = limit_level_bound(oracle, *limit)
+    total = sum(stepped.values())
+    assert total - games == oracle.absorbing.expanded > 100
+    assert limit_level_bound(oracle, *limit) == bound
+    assert sum(stepped.values()) == total
+    assert max(stepped.values()) <= 2
+
+
+def test_an_oracle_has_one_absorbing_view_sharing_its_derived_data(counter):
+    oracle = PdaOracle(counter)
+    view = oracle.absorbing
+    assert view is oracle.absorbing
+    assert view.absorbed is oracle.absorbed
+    assert view.table is oracle.table
+    assert view.floors is oracle.floors
+
+
+def test_an_analysis_oracle_is_freed_by_reference_counting_alone():
+    # no oracle holds a game context and no view holds its oracle, so
+    # neither needs the cycle collector
+    (pda, start, limit) = limit_case()
+    gc.disable()
+    try:
+        oracle = PdaOracle(pda)
+        eqlevel(oracle, start, oracle, step(pda, start)[0][1], 8)
+        limit_level_bound(oracle, *limit)
+        refs = (weakref.ref(oracle), weakref.ref(oracle.absorbing))
+        del oracle
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def count_automata(monkeypatch):

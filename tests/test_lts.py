@@ -113,6 +113,16 @@ def test_region_walks_radius():
     assert "t0" in blown.value.partial
 
 
+def test_region_cap_below_one_admits_not_even_the_start():
+    lone = make_lts(["t0"], ["a"], [])
+    o = FiniteLtsOracle(lone)
+    assert region(o, "t0", 3, max_states=1) == {"t0"}
+    for cap in (0, -1):
+        with pytest.raises(BudgetError) as blown:
+            region(o, "t0", 3, max_states=cap)
+        assert blown.value.partial == {"t0"}
+
+
 def test_bounded_games_agree_with_tree_unfolding_oracle():
     rng = random.Random(31)
     for _ in range(40):

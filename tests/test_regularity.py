@@ -113,6 +113,14 @@ def test_witness_exhausts_under_tiny_cutoff(counter, counter_start):
     assert not check.certified
 
 
+def test_a_witness_verifies_only_under_the_budgets_of_its_pump_bound(counter, counter_start):
+    candidate = first_candidate(counter, counter_start)
+    witness = Witness(counter_start, candidate, pump_bound(PdaOracle(counter), candidate))
+    assert witness.pump.config == AnalysisConfig()
+    with pytest.raises(InputError, match="pump bound"):
+        verify_witness(PdaOracle(counter, AnalysisConfig(cutoff=2)), witness)
+
+
 def test_witness_on_regular_process_is_refuted(growing, growing_start):
     candidate = first_candidate(growing, growing_start)
     witness = Witness(growing_start, candidate, pump_bound(PdaOracle(growing), candidate))
