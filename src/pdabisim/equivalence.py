@@ -52,7 +52,7 @@ from .transformers import period_iteration
 
 
 def _ordered_pair(c, d):
-    return (c, d) if c.sort_key() <= d.sort_key() else (d, c)
+    return (c, d) if c <= d else (d, c)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def check_coverage(oracle, certificate):
     root = _ordered_pair(key(certificate.root[0]), key(certificate.root[1]))
     if root[0] != root[1] and root not in rel:
         return False
-    for (c, d) in sorted(rel, key=lambda p: p[0].sort_key() + p[1].sort_key()):
+    for (c, d) in sorted(rel):
         for (x, y) in ((c, d), (d, c)):
             answers = step(pda, y)
             for (act, succ) in step(pda, x):
@@ -132,7 +132,7 @@ def _closure_search(oracle, left, right, budget, agree):
                 if any(_ordered_pair(succ, b) in rel for b in replies):
                     continue
                 chosen = None
-                for b in sorted(replies, key=Config.sort_key):
+                for b in sorted(replies):
                     if agree(succ, b):
                         chosen = b
                         break
@@ -143,7 +143,7 @@ def _closure_search(oracle, left, right, budget, agree):
                 pair = _ordered_pair(succ, chosen)
                 rel.add(pair)
                 todo.append(pair)
-    return tuple(sorted(rel, key=lambda p: p[0].sort_key() + p[1].sort_key()))
+    return tuple(sorted(rel))
 
 
 def _raw_strategy(oracle, strategy, left, right):
@@ -186,7 +186,7 @@ def _finite_graph_route(oracle, left, right, cap):
         reach_right = region(oracle, right, cap + 1, max_states=cap)
     except BudgetError:
         return None
-    states = sorted(reach_left | reach_right, key=Config.sort_key)
+    states = sorted(reach_left | reach_right)
     block = refine_blocks(states, {s: oracle.successors(s) for s in states})
     if block[left] != block[right]:
         exact = eqlevel(oracle, left, oracle, right, len(states) + 1)
@@ -398,7 +398,7 @@ def limit_level_bound(oracle, control, top, period):
     ctx = GameContext(absorbing, absorbing)
     value = 0
     pairs = 0
-    for near in sorted(around, key=Config.sort_key):
+    for near in sorted(around):
         for lim in limits:
             pairs += 1
             got = ctx.level(near, lim, config.cutoff)

@@ -168,13 +168,21 @@ class GameContext:
         return res
 
     def _covered(self, s, t, k):
+        # plain loops: a round costs two Python frames (this and ``bisim``),
+        # so the depth a game may recurse to is half the recursion limit
         ls = self.left.successors(s)
         rs = self.right.successors(t)
         for (a, s2) in ls:
-            if not any(b == a and self.bisim(s2, t2, k - 1) for (b, t2) in rs):
+            for (b, t2) in rs:
+                if b == a and self.bisim(s2, t2, k - 1):
+                    break
+            else:
                 return False
         for (b, t2) in rs:
-            if not any(a == b and self.bisim(s2, t2, k - 1) for (a, s2) in ls):
+            for (a, s2) in ls:
+                if a == b and self.bisim(s2, t2, k - 1):
+                    break
+            else:
                 return False
         return True
 

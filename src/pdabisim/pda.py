@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import AnalysisConfig
 from .errors import InputError
@@ -37,15 +38,16 @@ class Rule:
         return "%s %s %s -> %s %s" % (self.control, self.symbol, self.action, self.target, rhs)
 
 
-@dataclass(frozen=True)
-class StackWord:
+class StackWord(NamedTuple):
     """A finite or ultimately periodic stack word, leftmost symbol on top.
 
     ``prefix`` holds the finite part; a non-empty ``period`` denotes that
     word repeated forever after the prefix.  Use the factories (or
     ``canonicalize``) to obtain canonical instances: period primitive, prefix
     as short as possible.  Canonical instances compare equal iff they denote
-    the same symbol sequence.
+    the same symbol sequence.  A word is a tuple record, hashed, compared
+    and ordered as the pair (prefix, period); since a periodic word has no
+    length, read its fields rather than iterating or unpacking it.
     """
 
     prefix: tuple
@@ -109,6 +111,11 @@ class StackWord:
         return "[%s]" % body
 
 
+# pickling and copying rebuild a word from its fields; the namedtuple default
+# converts it with tuple(), which asks a periodic word for its length
+StackWord.__getnewargs__ = lambda self: (self.prefix, self.period)
+
+
 def _primitive_root(word):
     n = len(word)
     for d in range(1, n + 1):
@@ -135,15 +142,11 @@ def canonicalize(word):
     return StackWord(tuple(prefix), period)
 
 
-@dataclass(frozen=True)
-class Config:
-    """A configuration: control state plus stack word."""
+class Config(NamedTuple):
+    """A configuration: control state plus stack word, ordered as (control, prefix, period)."""
 
     control: str
     stack: StackWord
-
-    def sort_key(self):
-        return (self.control, self.stack.prefix, self.stack.period)
 
     def format(self):
         return "%s %s" % (self.control, self.stack.format())
@@ -199,6 +202,14 @@ class Pda:
             for sym in r.push:
                 if sym not in self.stack_alphabet:
                     raise InputError("rule %r pushes an undeclared stack symbol" % (r.format(),))
+        for name in ("controls", "stack_alphabet", "actions"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        # hashed once, since ``_rule_index`` looks the pda up on every ``step``
+        fields = (self.controls, self.stack_alphabet, self.actions, normalized)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
     def max_push(self):
         return max((len(r.push) for r in self.rules), default=0)
@@ -226,20 +237,34 @@ def step(pda, config):
     """The ordered list of (action, successor) pairs of a configuration.
 
     An empty stack has no successors.  Output is deduplicated and sorted by
-    (action, successor), so exploration order is reproducible.
+    (action, successor), so exploration order is reproducible.  The stack
+    must be canonical, as the factories and ``canonicalize`` make it; then
+    so are the successors' stacks.  The tail below the top symbol is
+    canonical as it stands, and a push keeps it so unless it lands directly
+    on a period: only there may pushed symbols be absorbed into the period,
+    and two rules reach the same word.
     """
-    if config.control not in pda.controls:
-        raise InputError("undeclared control state %r" % (config.control,))
-    head = config.stack.head()
-    if head is None:
+    control = config.control
+    if control not in pda.controls:
+        raise InputError("undeclared control state %r" % (control,))
+    (prefix, period) = (config.stack.prefix, config.stack.period)
+    if prefix:
+        (head, below) = (prefix[0], prefix[1:])
+    elif period:
+        (head, below) = (period[0], ())
+        period = period[1:] + period[:1]
+    else:
         return []
     if head not in pda.stack_alphabet:
         raise InputError("undeclared stack symbol %r" % (head,))
-    tail = config.stack.tail()
-    out = set()
-    for rule in _rule_index(pda).get((config.control, head), ()):
-        out.add((rule.action, Config(rule.target, tail.push(rule.push))))
-    return sorted(out, key=lambda pair: (pair[0],) + pair[1].sort_key())
+    rules = _rule_index(pda).get((control, head), ())
+    if below or not period:
+        out = [(r.action, Config(r.target, StackWord(r.push + below, period))) for r in rules]
+    else:
+        out = list({(r.action, Config(r.target, canonicalize(StackWord(r.push, period))))
+                    for r in rules})
+    out.sort()
+    return out
 
 
 class PdaOracle(SuccessorOracle):

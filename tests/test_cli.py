@@ -360,10 +360,21 @@ def test_bad_literal_is_an_input_error(files, capsys):
 
 
 def test_deep_cutoff_is_a_budget_exit_not_a_traceback(files, capsys):
-    code = main(["eqlevel", files["deep.pda"], "p[X]", "q[X]", "--cutoff", "500"])
+    code = main(["eqlevel", files["deep.pda"], "p[X]", "q[X]", "--cutoff", "2000"])
     assert code == 2
     err = capsys.readouterr().err
     assert "cutoff is too deep" in err
+
+
+def test_deep_game_at_cutoff_500_fits_the_recursion_limit(files, capsys):
+    # two Python frames per round: the climb to 500 recurses about 250
+    # rounds deep, well inside the interpreter's default limit of 1000
+    code = main(["eqlevel", files["deep.pda"], "p[X]", "q[X]", "--cutoff", "500"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "result: at-least" in captured.out
+    assert "cutoff: 500" in captured.out
+    assert captured.err == ""
 
 
 def test_twin_climbs_to_a_deep_cutoff(files, capsys):
@@ -597,3 +608,18 @@ def test_readme_session_transcripts_match(files, capsys):
     for (argv, expected) in runs:
         main([files.get(arg, arg) for arg in argv])
         assert capsys.readouterr().out.splitlines() == expected, argv
+
+
+def readme_library_example():
+    """(code, commented output lines) of the README's "Library example"."""
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    return (code, expected)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    (code, expected) = readme_library_example()
+    assert expected == ["finite 1", "nonregular certified", "32", "True"]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

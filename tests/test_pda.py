@@ -1,5 +1,7 @@
 """Stack words, configurations, rewriting steps and rule normalization."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from pdabisim import (
 
 from pdabisim.equivalence import AbsorbingOracle
 
-from oracles import OracleBudget, game_bisim, random_pda, random_stack
+from oracles import OracleBudget, game_bisim, pda_moves, random_pda, random_stack
 
 
 def test_finite_words_are_canonical():
@@ -61,6 +63,12 @@ def test_infinite_word_has_no_length():
     assert w.expand(5) == ("A",) * 5
     assert w.tail() == w
     assert w.push(("B",)) == StackWord(("B",), ("A",))
+
+
+def test_periodic_configs_pickle_and_copy():
+    config = Config("p", StackWord.repeating(("B",), ("A",)))
+    assert pickle.loads(pickle.dumps(config)) == config
+    assert copy.deepcopy(config) == config
 
 
 def test_canonicalize_preserves_denoted_sequence():
@@ -103,6 +111,41 @@ def test_step_canonicalizes_periodic_results(counter):
     succs = dict(step(counter, limit))
     assert succs["a"] == limit
     assert succs["b"] == limit
+
+
+def test_step_matches_the_rules_on_random_stacks():
+    # a periodic stack is compared on an expansion deep enough that two
+    # distinct successors differ within it: they push at most 3 symbols
+    # onto a tail of at most 3 prefix symbols and a period of at most 3
+    depth = 16
+    rng = random.Random(25)
+    for _ in range(300):
+        pda = random_pda(rng, 3, 3, 8)
+        controls = sorted(pda.controls)
+        symbols = sorted(pda.stack_alphabet)
+        for _ in range(4):
+            prefix = random_stack(rng, symbols, max_len=4)
+            if rng.random() < 0.5:
+                word = StackWord.finite(prefix)
+            else:
+                word = StackWord.repeating(prefix, random_stack(rng, symbols, 3, 1))
+            config = Config(rng.choice(controls), word)
+            got = step(pda, config)
+            assert got == sorted(
+                got, key=lambda m: (m[0], m[1].control, m[1].stack.prefix, m[1].stack.period)
+            )
+            assert len(set(got)) == len(got)
+            for (_, succ) in got:
+                assert canonicalize(succ.stack) == succ.stack
+            if word.is_finite:
+                expected = pda_moves(pda, config.control, word.prefix)
+                assert sorted((a, (c.control, c.stack.prefix)) for (a, c) in got) == sorted(expected)
+                assert all(c.stack.is_finite for (_, c) in got)
+                continue
+            seen = [(a, c.control, c.stack.expand(depth - 1)) for (a, c) in got]
+            assert len(set(seen)) == len(seen)
+            moves = pda_moves(pda, config.control, word.expand(depth))
+            assert set(seen) == {(a, q, w[: depth - 1]) for (a, (q, w)) in moves}
 
 
 def test_truncate_keeps_top_symbols(counter):
