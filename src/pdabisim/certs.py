@@ -176,7 +176,7 @@ def automaton_doc(aut):
     return {
         "entries": sorted([c, s] for (c, s) in aut.entries),
         "finals": sorted(aut.finals),
-        "edges": sorted([src, label, dst] for (src, label, dst) in aut.edges),
+        "edges": [[src, label, dst] for (src, label, dsts) in aut.groups for dst in sorted(dsts)],
         "expansions": sorted([sym, list(word)] for (sym, word) in aut.expansions),
         "alphabet": sorted(aut.alphabet),
         "original_alphabet": sorted(aut.original_alphabet),
@@ -185,10 +185,10 @@ def automaton_doc(aut):
 
 
 def automaton_from(doc):
-    return ConfigAutomaton(
+    return ConfigAutomaton.from_edges(
+        doc["edges"],
         entries=tuple(sorted((c, s) for (c, s) in doc["entries"])),
         finals=names_from(doc["finals"]),
-        edges=frozenset((src, label, dst) for (src, label, dst) in doc["edges"]),
         expansions=tuple(sorted((sym, tuple(word)) for (sym, word) in doc["expansions"])),
         alphabet=names_from(doc["alphabet"]),
         original_alphabet=names_from(doc["original_alphabet"]),

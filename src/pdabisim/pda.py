@@ -23,9 +23,11 @@ from .lts import SuccessorOracle
 from .transformers import apply_set_transformer, compute_transformers
 
 
-@dataclass(frozen=True, order=True)
-class Rule:
-    """A single rewriting rule: (control, symbol) --action--> (target, push)."""
+class Rule(NamedTuple):
+    """A single rewriting rule: (control, symbol) --action--> (target, push).
+
+    A tuple record, hashed, compared and ordered as its five fields in order.
+    """
 
     control: str
     symbol: str
@@ -38,7 +40,13 @@ class Rule:
         return "%s %s %s -> %s %s" % (self.control, self.symbol, self.action, self.target, rhs)
 
 
-class StackWord(NamedTuple):
+# a NamedTuple may not define ``_make`` in its own body, hence the subclass
+class _StackWordFields(NamedTuple):
+    prefix: tuple
+    period: tuple
+
+
+class StackWord(_StackWordFields):
     """A finite or ultimately periodic stack word, leftmost symbol on top.
 
     ``prefix`` holds the finite part; a non-empty ``period`` denotes that
@@ -48,10 +56,18 @@ class StackWord(NamedTuple):
     the same symbol sequence.  A word is a tuple record, hashed, compared
     and ordered as the pair (prefix, period); since a periodic word has no
     length, read its fields rather than iterating or unpacking it.
+    Pickling, copying, ``_make`` and ``_replace`` go by the fields too.
     """
 
-    prefix: tuple
-    period: tuple
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (StackWord, (self.prefix, self.period))
+
+    @classmethod
+    def _make(cls, fields):
+        (prefix, period) = fields
+        return cls(prefix, period)
 
     @classmethod
     def finite(cls, symbols=()):
@@ -101,19 +117,11 @@ class StackWord(NamedTuple):
             out.extend(self.period)
         return tuple(out[:n])
 
-    def symbols_used(self):
-        return set(self.prefix) | set(self.period)
-
     def format(self):
         body = " ".join(self.prefix)
         if self.period:
             return "[%s] (%s)^w" % (body, " ".join(self.period))
         return "[%s]" % body
-
-
-# pickling and copying rebuild a word from its fields; the namedtuple default
-# converts it with tuple(), which asks a periodic word for its length
-StackWord.__getnewargs__ = lambda self: (self.prefix, self.period)
 
 
 def _primitive_root(word):
@@ -152,8 +160,7 @@ class Config(NamedTuple):
         return "%s %s" % (self.control, self.stack.format())
 
 
-@dataclass(frozen=True, order=True)
-class TruncatedConfig:
+class TruncatedConfig(NamedTuple):
     """A control state with only the top ``k`` stack symbols retained.
 
     Configurations sharing a depth-k truncation are equivalent at level k
@@ -217,19 +224,28 @@ class Pda:
 
 @functools.lru_cache(maxsize=None)
 def _rule_index(pda):
+    """(control, symbol) -> the (action, target, push) of its rules, as ``step`` reads them."""
     index = {}
     for r in pda.rules:
-        index.setdefault((r.control, r.symbol), []).append(r)
+        index.setdefault((r.control, r.symbol), []).append((r.action, r.target, r.push))
     return {k: tuple(v) for k, v in index.items()}
 
 
 def validate_config(pda, config):
-    """Check that a configuration only mentions declared names."""
+    """Check that a configuration only mentions declared names and its stack is canonical."""
     if config.control not in pda.controls:
         raise InputError("undeclared control state %r" % (config.control,))
-    for sym in config.stack.symbols_used():
-        if sym not in pda.stack_alphabet:
-            raise InputError("undeclared stack symbol %r" % (sym,))
+    (prefix, period) = (config.stack.prefix, config.stack.period)
+    alphabet = pda.stack_alphabet
+    if not (alphabet.issuperset(prefix) and alphabet.issuperset(period)):
+        sym = next(s for s in prefix + period if s not in alphabet)
+        raise InputError("undeclared stack symbol %r" % (sym,))
+    # canonical: a primitive period, and no prefix symbol it could absorb
+    if period and ((prefix and prefix[-1] == period[-1]) or _primitive_root(period) != period):
+        raise InputError(
+            "stack word %s is not canonical; write it as %s"
+            % (config.stack.format(), canonicalize(config.stack).format())
+        )
     return config
 
 
@@ -257,12 +273,11 @@ def step(pda, config):
         return []
     if head not in pda.stack_alphabet:
         raise InputError("undeclared stack symbol %r" % (head,))
-    rules = _rule_index(pda).get((control, head), ())
+    moves = _rule_index(pda).get((control, head), ())
     if below or not period:
-        out = [(r.action, Config(r.target, StackWord(r.push + below, period))) for r in rules]
+        out = [(a, Config(q, StackWord(push + below, period))) for (a, q, push) in moves]
     else:
-        out = list({(r.action, Config(r.target, canonicalize(StackWord(r.push, period))))
-                    for r in rules})
+        out = list({(a, Config(q, canonicalize(StackWord(push, period)))) for (a, q, push) in moves})
     out.sort()
     return out
 

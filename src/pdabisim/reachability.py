@@ -11,7 +11,12 @@ infinite) configuration graph.
 ``poststar`` saturates in one worklist pass in the style of Esparza,
 Hansel, Rossmanith and Schwoon (CAV 2000), run on sets of states: the
 edges out of a state with one label are one bitmask of destinations, and a
-popped worklist key fires a whole batch of new destinations at once.
+popped worklist key fires a whole batch of new destinations at once.  The
+automaton keeps its edges in that grouped form: one (source, label,
+destination set) group per key, where the few distinct destination sets
+are shared between the many groups that have them.  The queries here read
+the groups; the plain (source, label, destination) triples are derived
+only when a reader asks for ``ConfigAutomaton.edges``.
 ``reachable_key_cuts`` reads the depth-k pop-horizon game keys off the
 automaton by suffix: the cuts below each state are enumerated once per
 (state, remaining pop cost) and shared by every prefix leading there, so
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .config import TRUNCATION_DEPTH_LIMIT
@@ -61,19 +65,46 @@ class ConfigAutomaton:
     the corresponding configuration is reachable.  Edges labelled with the
     empty string are silent.  ``expansions`` maps composite symbols back to
     original words so queries may be posed in original symbols.
+
+    The edges are grouped: ``groups`` holds one ``(src, label, dsts)`` per
+    (source, label) pair with edges, sorted by (src, label), where ``dsts``
+    is a non-empty frozenset and groups with equal destination sets share
+    one frozenset.  ``edges`` is the same edge set as a frozenset of
+    (src, label, dst) triples, derived on first read, and ``from_edges``
+    builds an automaton from triples.
     """
 
     entries: tuple          # sorted ((control, state), ...)
     finals: frozenset
-    edges: frozenset        # (src, label, dst), label == "" for silent
+    groups: tuple           # sorted ((src, label, frozenset of dst), ...), label "" silent
     expansions: tuple       # composite symbol -> original word, sorted
     alphabet: frozenset     # symbols the edges may use
     original_alphabet: frozenset
     live: tuple = ()        # sorted (state, period) pairs for periodic tails
 
-    # The lookups below are built once per automaton and shared by every
+    @classmethod
+    def from_edges(cls, edges, **fields):
+        """The automaton with the (src, label, dst) triples ``edges`` and the other ``fields``."""
+        by_key = {}
+        for (src, label, dst) in edges:
+            by_key.setdefault((src, label), set()).add(dst)
+        shared = {}
+        groups = []
+        for key in sorted(by_key):
+            dsts = frozenset(by_key[key])
+            groups.append(key + (shared.setdefault(dsts, dsts),))
+        return cls(groups=tuple(groups), **fields)
+
+    # The views below are built once per automaton and shared by every
     # caller, who must not mutate them.  They are not fields, so equality,
     # hashing and the certificate document ignore them.
+
+    @functools.cached_property
+    def edges(self):
+        """The edges as a frozenset of (src, label, dst) triples."""
+        return frozenset(
+            (src, label, dst) for (src, label, dsts) in self.groups for dst in dsts
+        )
 
     @functools.cached_property
     def _entry_of(self):
@@ -86,8 +117,8 @@ class ConfigAutomaton:
     @functools.cached_property
     def _adjacency(self):
         adj = {}
-        for (src, label, dst) in sorted(self.edges):
-            adj.setdefault(src, []).append((label, dst))
+        for (src, label, dsts) in self.groups:
+            adj.setdefault(src, []).extend((label, dst) for dst in sorted(dsts))
         return adj
 
     def entry(self, control):
@@ -96,9 +127,8 @@ class ConfigAutomaton:
     def states(self):
         out = {s for (_, s) in self.entries} | set(self.finals)
         out |= {s for (s, _) in self.live}
-        for (src, _, dst) in self.edges:
-            out.add(src)
-            out.add(dst)
+        out.update(src for (src, _, _) in self.groups)
+        out.update(*{dsts for (_, _, dsts) in self.groups})
         return out
 
     def flatten(self, symbol):
@@ -115,7 +145,8 @@ class ConfigAutomaton:
         lines += ["live %s (%s)^w" % (s, " ".join(p)) for (s, p) in self.live]
         lines += [
             "%s %s %s" % (src, label if label else ".", dst)
-            for (src, label, dst) in sorted(self.edges)
+            for (src, label, dsts) in self.groups
+            for dst in sorted(dsts)
         ]
         return "\n".join(lines) + "\n"
 
@@ -218,7 +249,7 @@ def _bits(mask):
 
 
 def _saturate(pda, entries, skeleton):
-    """The least edge set containing ``skeleton`` and closed under the rules.
+    """The least edge set containing ``skeleton`` and closed under the rules, grouped.
 
     One worklist pass; the same fixpoint that looping ``saturation_edges``
     reaches, with the same ``r%d`` mid state per rule index.  States are
@@ -226,7 +257,9 @@ def _saturate(pda, entries, skeleton):
     bitmask of destinations.  The worklist holds (state, label) keys: new
     destinations for a key already queued are OR-ed into its pending mask,
     and the queue is first in, first out, so a key gathers a batch of
-    destinations before it is popped and fires them all at once.
+    destinations before it is popped and fires them all at once.  The
+    result is ``ConfigAutomaton.groups``: each key with its mask as a set of
+    state names, where keys with equal masks share one set.
 
     ``reach[c]`` is the mask of states that control c's entry reaches by
     silent edges, and ``controls[s]`` lists the controls reaching state s.
@@ -275,7 +308,10 @@ def _saturate(pda, entries, skeleton):
                 queue.append(key)
 
     for (src, label, dst) in skeleton:
-        add((index[src], label), 1 << index[dst])
+        key = (index[src], label)
+        out[key] = out.get(key, 0) | 1 << index[dst]
+    pending.update(out)
+    queue.extend(out)
     popped = {}             # state -> {label: popped destination mask}
     reach = {q: 1 << index[s] for (q, s) in entries}
     controls = {index[s]: [q] for (q, s) in entries}
@@ -324,23 +360,26 @@ def _saturate(pda, entries, skeleton):
         else:
             for control in controls.get(src, ()):
                 fire(control, label, bits)
-    # few distinct masks recur over many keys: name each mask's states once
+    # few distinct masks recur over many keys: name each mask's states once;
+    # a long start makes many one-state masks, which need no bit walk
     names = list(index)
-    dsts = {mask: [names[b] for b in _bits(mask)] for mask in set(out.values())}
-    return frozenset(itertools.chain.from_iterable(
-        itertools.product((names[src],), (label,), dsts[mask])
-        for ((src, label), mask) in out.items()
-    ))
+    dsts = {}
+    for mask in set(out.values()):
+        if mask & (mask - 1):
+            dsts[mask] = frozenset([names[b] for b in _bits(mask)])
+        else:
+            dsts[mask] = frozenset((names[mask.bit_length() - 1],))
+    return tuple(sorted((names[src], label, dsts[mask]) for ((src, label), mask) in out.items()))
 
 
 def poststar(pda, start, norm_map=None):
     """Saturated automaton of everything reachable from ``start``.
 
     The edges come from one worklist pass over destination bitmasks
-    (``_saturate``): the least edge set containing the start skeleton and
-    closed under the rules, which is what looping ``saturation_edges`` to a
-    fixpoint yields too.  Mid states are named ``r<i>`` after the index of
-    the rule that pushes two symbols.
+    (``_saturate``), grouped per (source, label): the least edge set
+    containing the start skeleton and closed under the rules, which is what
+    looping ``saturation_edges`` to a fixpoint yields too.  Mid states are
+    named ``r<i>`` after the index of the rule that pushes two symbols.
 
     Pre: every rule of ``pda`` pushes at most two symbols (run normalize_rules
     first otherwise).  A periodic start stack is handled by closing the
@@ -354,14 +393,14 @@ def poststar(pda, start, norm_map=None):
     validate_config(pda, start)
 
     (entries, skeleton, finals, live) = initial_skeleton(pda.controls, start)
-    edges = _saturate(pda, entries, skeleton)
+    groups = _saturate(pda, entries, skeleton)
 
     expansions = norm_map.expansions if norm_map is not None else ()
     composite = {sym for (sym, _) in expansions}
     return ConfigAutomaton(
         entries=entries,
         finals=frozenset(finals),
-        edges=edges,
+        groups=groups,
         expansions=tuple(expansions),
         alphabet=frozenset(pda.stack_alphabet),
         original_alphabet=frozenset(pda.stack_alphabet - composite),
@@ -380,27 +419,51 @@ def reach_automaton(pda, start):
     return poststar(norm, start, mapping)
 
 
-def _backward(edges, targets):
-    """States from which some state of ``targets`` is reachable along ``edges``."""
-    rev = {}
-    for (src, _, dst) in edges:
-        rev.setdefault(dst, []).append(src)
+def _backward(groups, targets):
+    """States from which some state of ``targets`` is reachable along ``groups``.
+
+    One linear backward pass.  A group into a single state is a plain
+    reverse edge; a larger destination set is indexed once under its
+    members, and the first of them found marks the sources of every group
+    into the set.
+    """
+    rev = {}                # state -> sources of the groups into it alone
+    sources = {}            # larger destination set -> its sources
+    for (src, _, dsts) in groups:
+        if len(dsts) == 1:
+            (dst,) = dsts
+            rev.setdefault(dst, []).append(src)
+        else:
+            sources.setdefault(dsts, []).append(src)
+    holding = {}            # state -> source lists of the larger sets holding it
+    for (dsts, srcs) in sources.items():
+        for s in dsts:
+            holding.setdefault(s, []).append(srcs)
     seen = set(targets)
     todo = list(seen)
     while todo:
-        for p in rev.get(todo.pop(), ()):
+        state = todo.pop()
+        for p in rev.get(state, ()):
             if p not in seen:
                 seen.add(p)
                 todo.append(p)
+        for srcs in holding.get(state, ()):
+            for p in srcs:
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+            srcs.clear()    # each larger set marks its sources once
     return seen
 
 
 def _reading_edges(aut, k):
     """(coaccessible states, silent edges, reading edges) for a depth-k enumeration.
 
-    Both maps hold only edges into coaccessible states: ``silent`` maps a
-    state to its silent destinations, ``reads`` to its (word, dst) pairs in
-    original symbols.  A depth past 12 raises BudgetError.
+    Both maps hold the groups out of coaccessible states, one entry per
+    group: ``silent`` maps a state to its silent destination sets, ``reads``
+    to its (word, destination set) pairs with the word in original symbols.
+    A destination set may hold states that are not coaccessible; the reader
+    skips them.  A depth past 12 raises BudgetError.
     """
     if k < 0:
         raise InputError("truncation depth must be >= 0, got %r" % (k,))
@@ -409,17 +472,17 @@ def _reading_edges(aut, k):
             "truncation depth %d exceeds the guardrail of %d"
             % (k, TRUNCATION_DEPTH_LIMIT)
         )
-    coacc = _backward(aut.edges, aut.finals | {s for (s, _) in aut.live})
+    coacc = _backward(aut.groups, aut.finals | {s for (s, _) in aut.live})
     silent = {}
     reads = {}
-    for (src, label, dst) in aut.edges:
-        if dst not in coacc:
+    for (src, label, dsts) in aut.groups:
+        if src not in coacc:
             continue
         word = aut.flatten(label) if label != EPS else ()
         if word:
-            reads.setdefault(src, []).append((word, dst))
+            reads.setdefault(src, []).append((word, dsts))
         else:
-            silent.setdefault(src, []).append((EPS, dst))
+            silent.setdefault(src, []).append(dsts)
     return (coacc, silent, reads)
 
 
@@ -470,19 +533,28 @@ def reachable_key_cuts(aut, floors, k):
         got = memo.get((state, budget))
         if got is not None:
             return got
-        closure = _eps_closure(silent, (state,))
+        closure = {state}
+        todo = [state]
+        while todo:
+            for dsts in silent.get(todo.pop(), ()):
+                new = dsts - closure
+                closure |= new
+                todo.extend(new)
         got = set() if aut.finals.isdisjoint(closure) else {()}
         for s in closure:
-            for (word, dst) in reads.get(s, ()):
+            for (word, dsts) in reads.get(s, ()):
                 rest = budget
                 for (i, sym) in enumerate(word):
                     floor = floors.get(sym)
                     if floor is None or floor >= rest:
-                        got.add(word[: i + 1])
+                        if not coacc.isdisjoint(dsts):
+                            got.add(word[: i + 1])
                         break
                     rest -= floor
                 else:
-                    got.update([word + t for t in cuts(dst, rest)])
+                    for dst in dsts:
+                        if dst in coacc:
+                            got.update([word + t for t in cuts(dst, rest)])
         memo[(state, budget)] = got
         return got
 

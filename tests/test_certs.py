@@ -438,6 +438,19 @@ p A a -> p A A
 p A b -> p .
 """
 README_NORMED = README_COUNTER.replace("p X a -> p A X\n", "p X a -> p A X\np X b -> p .\n")
+# a regular process whose automaton has a composite symbol <B+B>, the
+# silent edge c:p0 . acc, and the destination set {r0, r3} shared by the
+# groups of c:p0 and r0 reading <B+B>
+GROUPED = """\
+pda
+controls: p0
+alphabet: a b
+stack: A B
+init: p0 A
+p0 A a -> p0 .
+p0 A b -> p0 B
+p0 B a -> p0 B B B
+"""
 
 
 @pytest.mark.parametrize(
@@ -447,6 +460,8 @@ README_NORMED = README_COUNTER.replace("p X a -> p A X\n", "p X a -> p A X\np X 
          "c05adab7f5b305a5ae0eef9d495300418ae63946d37f767c287345bb409e27b8"),
         (README_NORMED, "normed-witness",
          "5a8d89a5f330ea06e7d1050ea1874d98ad666c344d0949fe1801c44054ca5a40"),
+        (GROUPED, "regular",
+         "1f4cabee5c0cab92a918bcd8bec9182982f012a61ed54f539423f2cec7390ff6"),
     ],
 )
 def test_document_bytes_are_pinned(text, kind, digest):

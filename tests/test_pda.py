@@ -17,6 +17,7 @@ from pdabisim import (
     TruncatedConfig,
     canonicalize,
     normalize_rules,
+    poststar,
     step,
     validate_config,
 )
@@ -69,6 +70,19 @@ def test_periodic_configs_pickle_and_copy():
     config = Config("p", StackWord.repeating(("B",), ("A",)))
     assert pickle.loads(pickle.dumps(config)) == config
     assert copy.deepcopy(config) == config
+
+
+@pytest.mark.parametrize(
+    "word", [StackWord.finite(("A", "B")), StackWord.repeating(("A",), ("B",))]
+)
+def test_words_pickle_copy_and_replace_by_their_fields(word):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(word, protocol))
+        assert (again, type(again)) == (word, StackWord), protocol
+    assert copy.copy(word) == word and copy.deepcopy(word) == word
+    assert word._replace(prefix=("C",)) == StackWord(("C",), word.period)
+    assert word._replace(period=("A",)) == StackWord(word.prefix, ("A",))
+    assert StackWord._make([word.prefix, word.period]) == word
 
 
 def test_canonicalize_preserves_denoted_sequence():
@@ -166,6 +180,17 @@ def test_validate_config_rejects_foreign_symbols(counter):
     with pytest.raises(InputError):
         validate_config(counter, Config("p", StackWord.finite(("Z",))))
     validate_config(counter, Config("p", StackWord.repeating(("X",), ("A",))))
+
+
+def test_validate_config_rejects_a_non_canonical_stack(counter):
+    # [A X](X)^w denotes A X X X ..., canonically [A](X)^w; stepping the
+    # raw word would put one word under two memo keys
+    raw = Config("p", StackWord(("A", "X"), ("X",)))
+    with pytest.raises(InputError, match=r"write it as \[A\] \(X\)\^w"):
+        validate_config(counter, raw)
+    with pytest.raises(InputError):
+        poststar(counter, raw)
+    validate_config(counter, Config("p", canonicalize(raw.stack)))
 
 
 def test_pda_rejects_inconsistent_rules():

@@ -231,12 +231,10 @@ def test_an_empty_expansion_reads_as_silent():
     # only a hand-made automaton, such as one read from a certificate
     # document, has a symbol standing for no word; on a cycle it must not
     # send the enumeration round forever
-    aut = ConfigAutomaton(
+    aut = ConfigAutomaton.from_edges(
+        [("c:p", "A", "m"), ("m", "Z", "m"), ("m", "Z", "acc"), ("m", "A", "acc")],
         entries=(("p", "c:p"),),
         finals=frozenset(["acc"]),
-        edges=frozenset(
-            [("c:p", "A", "m"), ("m", "Z", "m"), ("m", "Z", "acc"), ("m", "A", "acc")]
-        ),
         expansions=(("Z", ()),),
         alphabet=frozenset(["A", "Z"]),
         original_alphabet=frozenset(["A"]),
@@ -333,3 +331,35 @@ def test_cached_lookups_leave_equality_and_hash_alone(twocycle, twocycle_start):
     again = certs.automaton_from(certs.automaton_doc(aut))
     assert again == aut
     assert hash(again) == hash(aut)
+
+
+def test_groups_are_canonical_and_round_trip_through_the_document():
+    shared = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        pda = random_pda(rng, 3, 3, 8)
+        for kind in ("finite", "periodic"):
+            aut = reach_automaton(pda, random_start(rng, pda, kind))
+            keys = [(src, label) for (src, label, _) in aut.groups]
+            assert keys == sorted(set(keys)), (seed, kind)
+            sets = [dsts for (_, _, dsts) in aut.groups]
+            assert all(isinstance(d, frozenset) and d for d in sets), (seed, kind)
+            # equal destination sets are one object
+            assert len({id(d) for d in sets}) == len(set(sets)), (seed, kind)
+            shared += len(sets) - len(set(sets))
+            assert aut.edges == {(s, l, d) for (s, l, dsts) in aut.groups for d in dsts}
+            assert certs.automaton_from(certs.automaton_doc(aut)) == aut, (seed, kind)
+    assert shared > 0
+
+
+def test_truncations_from_a_long_start_equal_the_forward_walk():
+    # a 1,600-symbol start puts a chain of 1,600 states behind the entry
+    for seed in range(6):
+        rng = random.Random(seed)
+        pda = random_pda(rng, 3, 3, 8)
+        symbols = sorted(pda.stack_alphabet)
+        word = tuple(rng.choice(symbols) for _ in range(1600))
+        aut = reach_automaton(pda, fin(sorted(pda.controls)[0], *word))
+        assert len(aut.states()) > 1600
+        for k in range(5):
+            assert reachable_truncations(aut, k) == naive_truncations(aut, k), (seed, k)
