@@ -26,7 +26,6 @@ from .pda import (
     PdaOracle,
     Rule,
     StackWord,
-    TruncatedConfig,
     canonicalize,
     normalize_rules,
     step,
@@ -81,7 +80,6 @@ __all__ = [
     "StackWord",
     "StairSearch",
     "Strategy",
-    "TruncatedConfig",
     "Verdict",
     "Witness",
     "WitnessCheck",

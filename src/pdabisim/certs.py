@@ -554,13 +554,12 @@ def _check_regular(doc):
             False, "regular", "the start pair differs at level %d already" % (root.value,)
         )
     for trunc in truncations:
-        probe = trunc.as_config()
-        if not any(ctx.bisim(probe, g, level) for g in sorted(lts.states)):
+        if not any(ctx.bisim(trunc, g, level) for g in sorted(lts.states)):
             return CheckResult(
                 False,
                 "regular",
                 "reachable truncation %s matches no state at level %d"
-                % (probe.format(), level),
+                % (trunc.format(), level),
             )
     return CheckResult(
         True,
@@ -570,28 +569,39 @@ def _check_regular(doc):
     )
 
 
-def _check_witness(doc):
-    bound = _integer(doc, "bound")
-    base_level = _integer(doc, "base_level")
-    (oracle, witness) = _witness_from(doc)
-    if witness.pump.bound != bound:
-        return CheckResult(
-            False,
-            "witness",
-            "recomputed bound %d does not match the stored %r"
-            % (witness.pump.bound, bound),
+def _recheck_witness(doc):
+    (bound, base_level) = (_integer(doc, "bound"), _integer(doc, "base_level"))
+    check = verify_witness(*_witness_from(doc))
+    mismatch = None
+    if check.bound != bound:
+        mismatch = "recomputed bound %d does not match the stored %r" % (check.bound, bound)
+    elif check.verdict == "verified" and check.base.value != base_level:
+        mismatch = "recomputed base level %d does not match the stored %r" % (
+            check.base.value,
+            base_level,
         )
-    check = verify_witness(oracle, witness)
+    return (check, mismatch)
+
+
+def recheck_witness(doc):
+    """Re-verify a witness document and compare what it stores.
+
+    Returns ``(check, mismatch)``: ``check`` is ``verify_witness`` run once
+    under the document's own budgets, and ``mismatch`` names the stored
+    ``bound``, or for a verified witness the stored ``base_level``, that
+    the re-check does not reproduce, or is None.  Malformed documents raise
+    InputError.
+    """
+    return _read_document(doc, "witness", _recheck_witness)
+
+
+def _check_witness(doc):
+    (check, mismatch) = _recheck_witness(doc)
+    if mismatch is not None:
+        return CheckResult(False, "witness", mismatch)
     if check.verdict != "verified":
         return CheckResult(
             False, "witness", "re-verification was not conclusive: %s" % (check.reason,)
-        )
-    if check.base.value != base_level:
-        return CheckResult(
-            False,
-            "witness",
-            "recomputed base level %d does not match the stored %r"
-            % (check.base.value, base_level),
         )
     return CheckResult(True, "witness", check.reason)
 

@@ -25,7 +25,7 @@ from .errors import BudgetError, InputError
 from .lts import FiniteLts, quotient_finite
 from .pda import Config, Pda, Rule, StackWord, canonicalize, validate_config
 from .reachability import reach_automaton
-from .regularity import NormedEvidence, decide_regularity, verify_witness
+from .regularity import NormedEvidence, decide_regularity
 
 
 def _read_lines(text, header, noun, once):
@@ -400,7 +400,7 @@ def cmd_bisim_finite(args, out):
         "root": _eqlevel_doc(comparison.root),
     }
     if comparison.unmatched:
-        report["unmatched"] = comparison.unmatched[0].as_config().format()
+        report["unmatched"] = comparison.unmatched[0].format()
     if comparison.counterexample is not None and not comparison.equivalent:
         report["counterexample"] = comparison.counterexample.format()
     lines = []
@@ -462,14 +462,14 @@ def cmd_witness_verify(args, out):
             "a normed-witness document rests on the norm, not on pump games;"
             " check it with certcheck"
         )
-    check = verify_witness(*certs.witness_from_document(doc))
+    (check, mismatch) = certs.recheck_witness(doc)
     report = {
         "command": "witness-verify",
         "input": args.cert,
         "verdict": check.verdict,
         "bound": check.bound,
-        "certified": check.certified,
-        "reason": check.reason,
+        "certified": check.certified and mismatch is None,
+        "reason": mismatch or check.reason,
         "corroboration": [
             (copies, r.value if r.is_finite else None) for (copies, r) in check.corroboration
         ],
@@ -477,10 +477,10 @@ def cmd_witness_verify(args, out):
     lines = []
     _say(lines, report, "verdict", "bound", "certified", "reason")
     _emit(args, lines, report, out)
+    if mismatch is not None or check.verdict == "refuted":
+        return 1
     if check.verdict == "verified" and check.certified:
         return 0
-    if check.verdict == "refuted":
-        return 1
     return 2
 
 

@@ -36,7 +36,6 @@ from .pda import (
     Config,
     PdaOracle,
     StackWord,
-    TruncatedConfig,
     absorb_dead_tail,
     step,
     validate_config,
@@ -421,12 +420,13 @@ class FiniteComparison:
 
     The configuration is equivalent to the state iff they agree for
     ``level`` rounds and every reachable depth-``level`` truncation agrees
-    for ``level`` rounds with some state of the finite system.  ``matches``
-    lists the partners once per reachable depth-``level`` game key, not
-    per truncation: its entry is the truncation holding just the key's
-    kept symbols, and every truncation with that key has the same partners.
-    ``unmatched`` lists every truncation without partners; any of them
-    refutes equivalence, and ``counterexample`` is a reachable
+    for ``level`` rounds with some state of the finite system; truncations
+    are finite configurations.  ``matches`` lists the partners once per
+    reachable depth-``level`` game key, not per truncation: its entry is the
+    key's probe, the configuration holding just the key's kept symbols, and
+    every truncation with that key has the same partners.  ``unmatched``
+    lists every truncation without partners; any of them refutes
+    equivalence, and ``counterexample`` is a reachable
     configuration realizing the first.  ``root`` holds the eq-level query
     between the inputs, bounded by ``level``.  ``automaton`` is the post*
     automaton the keys were read off, or None when the root game refuted
@@ -439,7 +439,7 @@ class FiniteComparison:
     lts: object
     finite_state: str
     root: EqLevelResult
-    matches: tuple        # sorted ((key truncation, (state, ...)), ...)
+    matches: tuple        # sorted ((key probe, (state, ...)), ...)
     unmatched: tuple      # sorted truncations without any partner
     counterexample: object
     automaton: object
@@ -488,45 +488,32 @@ def _compare_with_finite(pda_oracle, config, lts, state, aut):
     ctx = GameContext(pda_oracle, fin_oracle)
     root = eqlevel(pda_oracle, config, fin_oracle, state, level, ctx=ctx)
     if root.is_finite:
-        return FiniteComparison(
-            equivalent=False,
-            level=level,
-            start=config,
-            lts=lts,
-            finite_state=state,
-            root=root,
-            matches=(),
-            unmatched=(),
-            counterexample=config,
-            automaton=None,
-        )
-    if aut is None:
-        aut = reach_automaton(pda, config)
-    states = sorted(lts.states)
-    matches = []
-    unmatched_keys = set()
-    for (control, kept) in sorted(reachable_key_cuts(aut, pda_oracle.floors, level)):
-        probe = Config(control, StackWord.finite(kept))
-        partners = tuple(
-            g
-            for g in states
-            if bounded_bisim(pda_oracle, probe, fin_oracle, g, level, ctx=ctx)
-        )
-        if partners:
-            matches.append((TruncatedConfig(control, kept), partners))
-        else:
-            unmatched_keys.add(pda_oracle.game_key(probe, level))
-    unmatched = []
-    if unmatched_keys:
-        unmatched = [
-            t
-            for t in sorted(reachable_truncations(aut, level))
-            if pda_oracle.game_key(t.as_config(), level) in unmatched_keys
-        ]
-    equivalent = not unmatched
-    witness = completion(aut, unmatched[0], level) if unmatched else None
+        (aut, matches, unmatched, witness) = (None, (), (), config)
+    else:
+        if aut is None:
+            aut = reach_automaton(pda, config)
+        states = sorted(lts.states)
+        matches = []
+        unmatched_keys = set()
+        for (control, kept) in sorted(reachable_key_cuts(aut, pda_oracle.floors, level)):
+            probe = Config(control, StackWord.finite(kept))
+            partners = tuple(
+                g for g in states if bounded_bisim(pda_oracle, probe, fin_oracle, g, level, ctx=ctx)
+            )
+            if partners:
+                matches.append((probe, partners))
+            else:
+                unmatched_keys.add(pda_oracle.game_key(probe, level))
+        unmatched = []
+        if unmatched_keys:
+            unmatched = [
+                t
+                for t in sorted(reachable_truncations(aut, level))
+                if pda_oracle.game_key(t, level) in unmatched_keys
+            ]
+        witness = completion(aut, unmatched[0], level) if unmatched else None
     return FiniteComparison(
-        equivalent=equivalent,
+        equivalent=not (root.is_finite or unmatched),
         level=level,
         start=config,
         lts=lts,

@@ -160,21 +160,6 @@ class Config(NamedTuple):
         return "%s %s" % (self.control, self.stack.format())
 
 
-class TruncatedConfig(NamedTuple):
-    """A control state with only the top ``k`` stack symbols retained.
-
-    Configurations sharing a depth-k truncation are equivalent at level k
-    (popping the visible part takes at least k rounds), so truncations serve
-    as level-k representatives of everything underneath them.
-    """
-
-    control: str
-    prefix: tuple
-
-    def as_config(self):
-        return Config(self.control, StackWord.finite(self.prefix))
-
-
 @dataclass(frozen=True)
 class Pda:
     """An immutable pushdown process declaration.
@@ -439,18 +424,6 @@ def _fresh_symbol(base, taken):
     return name
 
 
-@dataclass(frozen=True)
-class NormalizationMap:
-    """Relates the symbols of a normalized pda back to the original one.
-
-    ``expansions`` maps every composite symbol to the original word it
-    stands for; original symbols are kept as themselves and are absent from
-    the map.
-    """
-
-    expansions: tuple  # sorted ((symbol, original word), ...)
-
-
 def normalize_rules(pda):
     """Rewrite a pda so that every rule pushes at most two symbols.
 
@@ -458,9 +431,10 @@ def normalize_rules(pda):
     for a pair of current symbols; composite symbols get rules simulating
     their first component with the second appended.  The construction is
     iterated until all right-hand sides fit.  Configurations over the old
-    alphabet are valid unchanged in the new pda and behave identically; the
-    returned NormalizationMap records the original word of every composite
-    symbol.
+    alphabet are valid unchanged in the new pda and behave identically.
+    Returns ``(pda, expansions)``, where ``expansions`` is the sorted tuple
+    of (composite symbol, original word) pairs; original symbols stand for
+    themselves and are absent from it.
     """
 
     alphabet = set(pda.stack_alphabet)
@@ -513,5 +487,4 @@ def normalize_rules(pda):
         rules = new_rules
 
     normalized = Pda(pda.controls, frozenset(alphabet), pda.actions, tuple(rules))
-    mapping = NormalizationMap(tuple(sorted(flat.items())))
-    return normalized, mapping
+    return normalized, tuple(sorted(flat.items()))

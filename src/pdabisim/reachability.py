@@ -48,7 +48,6 @@ from .errors import BudgetError, InputError
 from .pda import (
     Config,
     StackWord,
-    TruncatedConfig,
     canonicalize,
     normalize_rules,
     validate_config,
@@ -372,7 +371,7 @@ def _saturate(pda, entries, skeleton):
     return tuple(sorted((names[src], label, dsts[mask]) for ((src, label), mask) in out.items()))
 
 
-def poststar(pda, start, norm_map=None):
+def poststar(pda, start, expansions=()):
     """Saturated automaton of everything reachable from ``start``.
 
     The edges come from one worklist pass over destination bitmasks
@@ -385,8 +384,9 @@ def poststar(pda, start, norm_map=None):
     first otherwise).  A periodic start stack is handled by closing the
     initial word chain into a cycle of live states; the resulting automaton
     then has no finals (no finite-stack configuration is reachable) and
-    acceptance means running into the live cycle.  ``norm_map`` supplies
-    composite-symbol expansions when the pda came out of normalize_rules.
+    acceptance means running into the live cycle.  ``expansions`` is the
+    sorted (composite symbol, original word) tuple that normalize_rules
+    returns beside the pda it normalized.
     """
     if pda.max_push() > 2:
         raise InputError("pda is not normalized; run normalize_rules first")
@@ -395,7 +395,6 @@ def poststar(pda, start, norm_map=None):
     (entries, skeleton, finals, live) = initial_skeleton(pda.controls, start)
     groups = _saturate(pda, entries, skeleton)
 
-    expansions = norm_map.expansions if norm_map is not None else ()
     composite = {sym for (sym, _) in expansions}
     return ConfigAutomaton(
         entries=entries,
@@ -415,8 +414,8 @@ def reach_automaton(pda, start):
     normalization.  Nothing is cached: a caller that queries one automaton
     repeatedly keeps it.
     """
-    (norm, mapping) = normalize_rules(pda)
-    return poststar(norm, start, mapping)
+    (norm, expansions) = normalize_rules(pda)
+    return poststar(norm, start, expansions)
 
 
 def _backward(groups, targets):
@@ -489,17 +488,20 @@ def _reading_edges(aut, k):
 def reachable_truncations(aut, k):
     """Exactly the depth-k truncations of the reachable configurations.
 
-    That is, (c.control, the top k symbols of c's stack) for every reachable
-    c, in original symbols.  At k = 0 it is (q, ()) for every control q
-    reachable with any stack, the empty one included.  A depth past 12
-    raises BudgetError.
+    That is, the finite configuration (c.control, the top k symbols of c's
+    stack) for every reachable c, in original symbols.  At k = 0 it is
+    (q, []) for every control q reachable with any stack, the empty one
+    included.  A depth past 12 raises BudgetError.
 
-    A truncation is a pop-horizon key with every floor at 1, so the cuts
-    are ``reachable_key_cuts``' with a floor of 1 per original symbol.
+    Configurations sharing a depth-k truncation are equivalent at level k
+    (popping the visible part takes at least k rounds), so truncations serve
+    as level-k representatives of everything underneath them.  A truncation
+    is a pop-horizon key with every floor at 1, so the cuts are
+    ``reachable_key_cuts``' with a floor of 1 per original symbol.
     """
     floors = {symbol: 1 for symbol in aut.original_alphabet}
     return {
-        TruncatedConfig(control, kept)
+        Config(control, StackWord.finite(kept))
         for (control, kept) in reachable_key_cuts(aut, floors, k)
     }
 
@@ -563,20 +565,23 @@ def reachable_key_cuts(aut, floors, k):
     }
 
 
-def completion(aut, truncated, depth=None):
-    """Some reachable configuration whose truncation is ``truncated``.
+def completion(aut, config, depth=None):
+    """Some reachable configuration whose truncation is the finite ``config``.
 
     ``depth`` is the truncation depth used when the truncation was recorded:
-    a prefix shorter than it denotes a complete stack and must be matched
-    exactly, a full-length one is matched as a prefix.  Without ``depth``
-    every match is by prefix.  Breadth-first, so the completion is among the
-    shortest.  Returns None if nothing reachable matches.
+    a stack shorter than it is complete and must be matched exactly, a
+    full-length one is matched as a prefix.  Without ``depth`` every match
+    is by prefix.  Breadth-first, so the completion is among the shortest.
+    Returns None if nothing reachable matches; a periodic ``config`` is no
+    truncation and raises InputError.
     """
-    start = aut.entry(truncated.control)
+    if not config.stack.is_finite:
+        raise InputError("%s is not a truncation: its stack is periodic" % (config.format(),))
+    start = aut.entry(config.control)
     if start is None:
         return None
     adj = aut.adjacency()
-    want = truncated.prefix
+    want = config.stack.prefix
     exact = depth is not None and len(want) < depth
     live = dict(aut.live)
     widest = max((len(aut.flatten(sym)) for sym in aut.alphabet), default=1)
@@ -588,11 +593,11 @@ def completion(aut, truncated, depth=None):
         for (state, word) in queue:
             if state in aut.finals and word[: len(want)] == want:
                 if not exact or word == want:
-                    return Config(truncated.control, StackWord.finite(word))
+                    return Config(config.control, StackWord.finite(word))
             if not exact and state in live:
                 stack = canonicalize(StackWord(word, live[state]))
                 if stack.expand(len(want)) == want:
-                    return Config(truncated.control, stack)
+                    return Config(config.control, stack)
             if len(word) > limit:
                 continue
             for (label, dst) in adj.get(state, ()):

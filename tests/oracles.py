@@ -7,7 +7,7 @@ beyond the data containers, so agreement between the two is evidence and
 not an accident of shared code.
 """
 
-from pdabisim import FiniteLts, Pda, Rule, TruncatedConfig
+from pdabisim import Config, FiniteLts, Pda, Rule, StackWord
 
 
 class OracleBudget(Exception):
@@ -284,11 +284,11 @@ def naive_truncations(aut, k):
         while todo:
             (state, prefix) = todo.pop()
             if state in ends:
-                found.add(TruncatedConfig(control, prefix))
+                found.add(Config(control, StackWord.finite(prefix)))
             for (dst, word) in adj.get(state, ()):
                 grown = prefix + word
                 if len(grown) >= k:
-                    found.add(TruncatedConfig(control, grown[:k]))
+                    found.add(Config(control, StackWord.finite(grown[:k])))
                 elif (dst, grown) not in seen:
                     seen.add((dst, grown))
                     todo.append((dst, grown))

@@ -293,6 +293,33 @@ def test_bisim_finite_exit_codes(files, capsys):
     assert "equivalent: false" in out
 
 
+# agrees with the counter for three full rounds, so bisim-finite refutes
+# the pair by an unmatched truncation and not at the root
+SURVIVOR = """\
+lts
+states: t0 t1
+actions: a b
+trans: t0 a t1
+trans: t1 a t1
+trans: t1 b t0
+"""
+
+
+def test_bisim_finite_prints_the_unmatched_truncation(files, capsys):
+    survivor = files["dir"] / "survivor.lts"
+    survivor.write_text(SURVIVOR)
+    args = ["bisim-finite", files["counter.pda"], str(survivor), "t0"]
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "unmatched: p [A A]\n" in out
+    assert "counterexample: p [A A X]\n" in out
+    assert "root level" not in out
+    assert main(args + ["--format", "structured"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["unmatched"], report["counterexample"]) == ("p [A A]", "p [A A X]")
+    assert report["equivalent"] is False
+
+
 def test_bisim_finite_start_override(files, capsys):
     code = main(
         [
@@ -442,6 +469,32 @@ def test_witness_documents_with_bad_budgets_are_input_errors(files, capsys, budg
     assert main(["certcheck", bad]) == 3
     assert main(["witness-verify", bad]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "reason"),
+    [
+        ("bound", 999, "recomputed bound 2 does not match the stored 999"),
+        ("base_level", 7, "recomputed base level 3 does not match the stored 7"),
+    ],
+    ids=["bound", "base-level"],
+)
+def test_witness_fields_that_do_not_recompute_are_rejected(files, capsys, field, value, reason):
+    cert = str(files["dir"] / "counter.cert.json")
+    main(["regcheck", files["counter.pda"], "--cert-out", cert])
+    capsys.readouterr()
+    doc = certs.loads(open(cert).read())
+    doc[field] = value
+    bad = _write_doc(files, "bad.cert.json", doc)
+    assert main(["certcheck", bad]) == 1
+    out = capsys.readouterr().out
+    assert "ok: false" in out and reason in out
+    assert main(["witness-verify", bad]) == 1
+    out = capsys.readouterr().out
+    assert "reason: %s\n" % (reason,) in out
+    assert "certified: false" in out
+    assert main(["witness-verify", bad, "--format", "structured"]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == reason
 
 
 @pytest.mark.parametrize("name", ["counter.pda", "growing.pda"])

@@ -18,7 +18,6 @@ from pdabisim import (
     PdaOracle,
     Rule,
     StackWord,
-    TruncatedConfig,
     bisim_pda_vs_finite,
     bounded_bisim,
     certify_bisimilar,
@@ -289,7 +288,7 @@ def test_counter_rejected_by_truncation_sweep(counter):
     got = bisim_pda_vs_finite(counter, fin("p", "X"), survivor, "t0")
     assert not got.equivalent
     assert got.root.kind == "at_least"
-    assert TruncatedConfig("p", ("A", "A")) in got.unmatched
+    assert fin("p", "A", "A") in got.unmatched
     assert got.counterexample == fin("p", "A", "A", "X")
 
 
@@ -322,11 +321,10 @@ def plain_comparison(pda, config, lts, state):
     matches = []
     unmatched = []
     for trunc in sorted(naive_truncations(aut, level)):
-        probe = trunc.as_config()
         partners = tuple(
             g
             for g in sorted(lts.states)
-            if bounded_bisim(left, probe, right, g, level, ctx=ctx)
+            if bounded_bisim(left, trunc, right, g, level, ctx=ctx)
         )
         if partners:
             matches.append((trunc, partners))
@@ -402,8 +400,8 @@ def test_grouped_comparison_equals_one_game_per_pair():
         oracle = PdaOracle(pda)
         of_key = {}
         for (trunc, partners) in matches:
-            (_, control, kept) = oracle.game_key(trunc.as_config(), got.level)
-            assert of_key.setdefault(TruncatedConfig(control, kept), partners) == partners
+            (_, control, kept) = oracle.game_key(trunc, got.level)
+            assert of_key.setdefault(fin(control, *kept), partners) == partners
         assert dict(got.matches) == of_key
         assert [t for (t, _) in got.matches] == sorted(of_key)
         assert (got.unmatched, got.counterexample) == (unmatched, counterexample)

@@ -14,7 +14,6 @@ from pdabisim import (
     PdaOracle,
     Rule,
     StackWord,
-    TruncatedConfig,
     canonicalize,
     normalize_rules,
     poststar,
@@ -163,15 +162,17 @@ def test_step_matches_the_rules_on_random_stacks():
 
 
 def test_truncate_keeps_top_symbols(counter):
+    # a depth-k truncation is the finite configuration of the top k symbols
     c = Config("p", StackWord.finite(("A", "A", "X")))
-    t2 = TruncatedConfig(c.control, c.stack.expand(2))
-    assert t2.prefix == ("A", "A")
+    t2 = Config(c.control, StackWord.finite(c.stack.expand(2)))
+    assert t2.stack.prefix == ("A", "A")
     assert t2.control == "p"
-    t3 = TruncatedConfig(c.control, c.stack.expand(3))
-    assert t3.prefix == ("A", "A", "X")
-    assert t3.as_config() == c
+    t3 = Config(c.control, StackWord.finite(c.stack.expand(3)))
+    assert t3.stack.prefix == ("A", "A", "X")
+    assert t3 == c
     limit = Config("p", StackWord.repeating((), ("A",)))
-    assert TruncatedConfig(limit.control, limit.stack.expand(4)).prefix == ("A",) * 4
+    t4 = Config(limit.control, StackWord.finite(limit.stack.expand(4)))
+    assert t4.stack.prefix == ("A",) * 4 and t4.stack.is_finite
 
 
 def test_validate_config_rejects_foreign_symbols(counter):
@@ -235,7 +236,7 @@ def test_normalize_rules_caps_push_length():
     composites = flat.stack_alphabet - wide.stack_alphabet
     assert composites
     for name in composites:
-        assert len(dict(mapping.expansions)[name]) >= 2
+        assert len(dict(mapping)[name]) >= 2
     start = Config("p", StackWord.finite(("X",)))
     ctx = GameContext(PdaOracle(wide), PdaOracle(flat))
     assert ctx.bisim(start, start, 8)

@@ -12,7 +12,6 @@ from pdabisim import (
     PdaOracle,
     Rule,
     StackWord,
-    TruncatedConfig,
     certs,
     normalize_rules,
     poststar,
@@ -63,11 +62,11 @@ def test_unknown_control_is_simply_unreachable(counter, counter_start):
 
 def test_counter_truncations(counter, counter_start):
     aut = poststar(counter, counter_start)
-    assert reachable_truncations(aut, 0) == {TruncatedConfig("p", ())}
+    assert reachable_truncations(aut, 0) == {fin("p")}
     assert reachable_truncations(aut, 2) == {
-        TruncatedConfig("p", ("X",)),
-        TruncatedConfig("p", ("A", "X")),
-        TruncatedConfig("p", ("A", "A")),
+        fin("p", "X"),
+        fin("p", "A", "X"),
+        fin("p", "A", "A"),
     }
 
 
@@ -85,13 +84,19 @@ def test_completion_realizes_truncations(counter, counter_start):
         for trunc in reachable_truncations(aut, depth):
             got = completion(aut, trunc, depth=depth)
             assert got is not None
-            assert TruncatedConfig(got.control, got.stack.expand(depth)) == trunc
+            assert fin(got.control, *got.stack.expand(depth)) == trunc
             assert automaton_accepts(aut, got.control, got.stack.prefix)
 
 
 def test_completion_of_unreachable_prefix_is_none(counter, counter_start):
     aut = poststar(counter, counter_start)
-    assert completion(aut, TruncatedConfig("p", ("X", "A"))) is None
+    assert completion(aut, fin("p", "X", "A")) is None
+
+
+def test_completion_rejects_a_periodic_configuration(counter, counter_start):
+    aut = poststar(counter, counter_start)
+    with pytest.raises(InputError, match="periodic"):
+        completion(aut, Config("p", StackWord.repeating((), ("A",))), depth=2)
 
 
 def test_growing_membership(growing, growing_start):
@@ -150,7 +155,7 @@ def test_truncations_match_bounded_search():
         aut = reach_automaton(pda, fin(control, bottom))
         got = reachable_truncations(aut, 2)
         explored = bounded_reachable(pda, control, (bottom,), 8, 10)
-        seen = {TruncatedConfig(q, stack[:2]) for (q, stack) in explored}
+        seen = {fin(q, *stack[:2]) for (q, stack) in explored}
         assert seen <= got
         for trunc in got:
             assert completion(aut, trunc, depth=2) is not None
@@ -165,8 +170,8 @@ def test_depth_zero_keeps_controls_reached_with_an_empty_stack():
     )
     aut = reach_automaton(pda, fin("p", "A"))
     assert reachable_truncations(aut, 0) == {
-        TruncatedConfig("p", ()),
-        TruncatedConfig("q", ()),
+        fin("p"),
+        fin("q"),
     }
 
 
@@ -185,7 +190,7 @@ def test_truncations_equal_the_exact_reachable_set():
         composite = {sym for (sym, _) in aut.expansions}
         composite_edges += sum(label in composite for (_, label, _) in aut.edges)
         for k in range(5):
-            want = {TruncatedConfig(q, stack[:k]) for (q, stack) in reached}
+            want = {fin(q, *stack[:k]) for (q, stack) in reached}
             assert reachable_truncations(aut, k) == want, (seed, k)
     assert checked > 100
     assert composite_edges > 0
@@ -218,7 +223,7 @@ def test_key_cuts_are_the_keys_of_the_truncations():
         oracle = PdaOracle(pda)
         for k in range(6):
             found = naive_truncations(aut, k)
-            want = {oracle.game_key(t.as_config(), k)[1:] for t in found}
+            want = {oracle.game_key(t, k)[1:] for t in found}
             assert reachable_key_cuts(aut, oracle.floors, k) == want, (i, k)
             (keys, truncations) = (keys + len(want), truncations + len(found))
     assert composite_edges > 0
@@ -242,8 +247,8 @@ def test_an_empty_expansion_reads_as_silent():
     for k in range(4):
         assert reachable_truncations(aut, k) == naive_truncations(aut, k), k
     assert reachable_truncations(aut, 3) == {
-        TruncatedConfig("p", ("A",)),
-        TruncatedConfig("p", ("A", "A")),
+        fin("p", "A"),
+        fin("p", "A", "A"),
     }
 
 
@@ -325,7 +330,7 @@ def test_saturation_around_a_periodic_cycle_of_pops():
 
 def test_cached_lookups_leave_equality_and_hash_alone(twocycle, twocycle_start):
     aut = poststar(twocycle, twocycle_start)
-    assert completion(aut, TruncatedConfig("q", ("A", "X"))) is not None
+    assert completion(aut, fin("q", "A", "X")) is not None
     assert reachable_truncations(aut, 2)
     assert aut.entry("p") == "c:p" and aut.flatten("A") == ("A",)
     again = certs.automaton_from(certs.automaton_doc(aut))

@@ -194,7 +194,7 @@ def test_probe_classes_expand_to_the_truncation_classes():
             reference = []
             for t in truncations:
                 for members in reference:
-                    if search.ctx.bisim(t.as_config(), members[0].as_config(), depth):
+                    if search.ctx.bisim(t, members[0], depth):
                         members.append(t)
                         break
                 else:
@@ -208,7 +208,7 @@ def test_probe_classes_expand_to_the_truncation_classes():
             }
             expanded = [[] for _ in classes]
             for t in truncations:
-                expanded[class_of[oracle.game_key(t.as_config(), depth)]].append(t)
+                expanded[class_of[oracle.game_key(t, depth)]].append(t)
             assert expanded == reference
             shared += len(truncations) - len(cuts)
             split += len(classes) > 1
