@@ -12,8 +12,9 @@ stored.  The five kinds:
   bisimilar;
 * "regular": a finite system, a matching level, and a reachability automaton
   whose closure certifies that a configuration is bisimilar to a state;
-* "witness": a pumping witness whose replay and separation levels certify
-  that no finite system is bisimilar to the start configuration;
+* "witness": a pumping witness whose replay, level bound and separation
+  level show that no finite system is bisimilar to the start configuration,
+  certified when the level bound is exact, else modulo the cutoffs;
 * "normed-witness": a stack-growing loop from a finite start, plus one
   emptying rule sequence per (control, symbol) pair, certifying the same
   by the norm (the distance to a dead configuration).
@@ -394,17 +395,6 @@ def _witness_from(doc):
     return (oracle, Witness(start, loop, pump_bound(oracle, loop)))
 
 
-def witness_from_document(doc):
-    """Rebuild (oracle, witness) from a witness document.
-
-    The oracle carries the document's own budgets as its config, and the
-    pump bound is recomputed under them, so ``verify_witness(oracle,
-    witness)`` re-checks the witness under the budgets it was decided
-    with.  Malformed documents raise InputError.
-    """
-    return _read_document(doc, "witness", _witness_from)
-
-
 def witness_document(pda, start, evidence):
     """Certificate document for a verified non-regularity witness.
 
@@ -458,12 +448,17 @@ def verdict_document(pda, start, verdict):
 
 
 class CheckResult:
-    """Outcome of checking one document: ok flag, kind, human detail line."""
+    """Outcome of checking one document: ok flag, kind, human detail line.
 
-    def __init__(self, ok, kind, detail):
+    ``exactness`` is set for a witness that checks: "certified" on an exact
+    level bound, else "modulo-cutoff"; a witness of either kind checks.
+    """
+
+    def __init__(self, ok, kind, detail, exactness=None):
         self.ok = ok
         self.kind = kind
         self.detail = detail
+        self.exactness = exactness
 
 
 def _check_finite_level(doc):
@@ -603,7 +598,8 @@ def _check_witness(doc):
         return CheckResult(
             False, "witness", "re-verification was not conclusive: %s" % (check.reason,)
         )
-    return CheckResult(True, "witness", check.reason)
+    exactness = "certified" if check.certified else "modulo-cutoff"
+    return CheckResult(True, "witness", check.reason, exactness)
 
 
 def _check_normed(doc):

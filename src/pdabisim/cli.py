@@ -312,10 +312,6 @@ def cmd_regcheck(args, out):
         lines.append("witness tail: %s" % (loop.tail.format(),))
         lines.append("bound: %d" % (bound,))
         lines.append("base level: %d" % (check.base.value,))
-        levels = " ".join(
-            str(r.value) if r.is_finite else "?" for (_, r) in check.corroboration
-        )
-        lines.append("corroboration: %s" % (levels,))
         report["witness"] = {
             "control": loop.control,
             "top": loop.symbol,
@@ -323,10 +319,6 @@ def cmd_regcheck(args, out):
             "tail": loop.tail.format(),
             "bound": bound,
             "base_level": check.base.value,
-            "corroboration": [
-                (copies, r.value if r.is_finite else None)
-                for (copies, r) in check.corroboration
-            ],
         }
     elif verdict.kind == "regular":
         comparison = verdict.certificate
@@ -470,18 +462,13 @@ def cmd_witness_verify(args, out):
         "bound": check.bound,
         "certified": check.certified and mismatch is None,
         "reason": mismatch or check.reason,
-        "corroboration": [
-            (copies, r.value if r.is_finite else None) for (copies, r) in check.corroboration
-        ],
     }
     lines = []
     _say(lines, report, "verdict", "bound", "certified", "reason")
     _emit(args, lines, report, out)
     if mismatch is not None or check.verdict == "refuted":
         return 1
-    if check.verdict == "verified" and check.certified:
-        return 0
-    return 2
+    return 0 if check.certified else 2
 
 
 def cmd_certcheck(args, out):
@@ -494,8 +481,10 @@ def cmd_certcheck(args, out):
         "ok": result.ok,
         "detail": result.detail,
     }
+    if result.exactness is not None:
+        report["exactness"] = result.exactness
     lines = []
-    _say(lines, report, "kind", "ok", "detail")
+    _say(lines, report, "kind", "ok", "exactness", "detail")
     _emit(args, lines, report, out)
     return 0 if result.ok else 1
 

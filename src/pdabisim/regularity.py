@@ -324,9 +324,11 @@ class PumpBound:
     ``preperiod`` and ``cycle_length`` describe how the control-set image of
     the repeated period stabilizes, ``limit_controls`` is the stable image,
     and ``levels`` bounds the finite equivalence levels between the limit
-    region and the limit controls.  ``bound`` combines them: once the pumped
-    configuration and the limit agree beyond it, they agree in a way no
-    finite system can sustain.  ``config`` holds the budgets the bound was
+    region and the limit controls.  ``bound`` is 1 + that level bound +
+    ``preperiod`` + ``cycle_length``: when ``levels`` is exact, from
+    ``bound`` copies on, whether the pumped configuration is bisimilar to
+    its limit depends only on the copies modulo ``cycle_length``
+    (``verify_witness``).  ``config`` holds the budgets the bound was
     computed under, the only ones a witness with it is verified under.
     """
 
@@ -392,25 +394,22 @@ class Witness:
 class WitnessCheck:
     """Outcome of verifying a witness.
 
-    ``verified`` means the pumped configuration separates from its limit at
-    or beyond the bound, which no finite system allows; ``refuted`` means
-    this particular witness proves nothing (the separation happens too early
-    or not at all); ``exhausted`` means the cutoff ran out first.
+    ``verified``: the pumped configuration ``c_fin`` separates from its
+    limit ``c_inf`` at a finite level ``base`` (from a level-only climb, so
+    with no strategy), at or past the bound; ``refuted``: the pair is
+    bisimilar, or separates below the bound; ``exhausted``: the cutoff ran
+    out first.
 
-    ``corroboration`` holds the equivalence levels at bound, bound+cycle and
-    bound+2*cycle pumpings.  Its results and ``base`` come from a level-only
-    climb, so a finite one carries no strategy (the witness document stores
-    only the base level).  ``corroborated`` is True when they are finite
-    and strictly increasing, the signature of a genuinely infinite family.
-    ``certified`` additionally requires the underlying level bound to be
-    exact, making the verdict independent of every cutoff.
+    ``certified``: verified on an exact ``LevelBound``.  Then the separation
+    at ``bound`` copies repeats at every larger count in its residue class
+    modulo ``cycle_length``, and a regular start lets only finitely many
+    counts separate (``verify_witness`` gives the argument and each fact it
+    uses).  On an inexact bound a verified witness is "modulo-cutoff".
     """
 
     verdict: str
     bound: int
     base: object          # EqLevelResult for the pumped/limit pair
-    corroboration: tuple  # ((copies, EqLevelResult), ...)
-    corroborated: object  # True, False or None
     certified: bool
     reason: str
 
@@ -461,20 +460,41 @@ def replay_loop(pda, start, loop):
 
 
 def verify_witness(oracle, witness):
-    """Re-check a witness from scratch.
+    """Re-check a witness from scratch: replay its loop, then play one level.
 
-    The loop is replayed first (``replay_loop``); then the equivalence
-    levels decide the verdict.  They run the ladder of ``eqlevel_configs``
-    with a level-only climb, so no attacker strategy is built, and in its
-    cheapest-first order: round one, equality after absorption, the climb
-    to the probe depth, the finite-graph route capped by the states that
-    call newly stepped on ``oracle``, whose successor memo serves the whole
-    analysis, then the climb to the cutoff.  The order only moves evidence
-    earlier, so the levels are those of climbing to the cutoff first.  The
-    games run on ``oracle`` in a context of their own, under
-    ``oracle.config``, which must be the config of the pump bound.
-    Malformed witnesses, and an oracle of other budgets, raise InputError;
-    well-formed ones get a verdict.
+    After ``replay_loop``, the ladder of ``eqlevel_configs`` plays, with a
+    level-only climb in a context of its own on ``oracle`` (whose config
+    must be the pump bound's), c_m = (p, X V^m T) at m = ``bound`` copies
+    against the limit c_inf = (p, X V^w).  Malformed witnesses, and an
+    oracle of other budgets, raise InputError.
+
+    Why a finite level on an exact bound refutes regularity.  Write L for
+    ``limit_controls``, c for ``cycle_length``, r for ``preperiod`` + c, v
+    for the ``LevelBound`` value and EL for the eq-level.  Facts used:
+    (a) every c_m is reachable (``replay_loop``);
+    (b) a move pops at most one symbol, so EL(c_m, c_inf) >= 1 + m|V| and
+        EL((q, V^j T), (q, V^w)) >= j|V|;
+    (c) (s, u S) ~ (s, u S') if (q, S) ~ (q, S') for each q where s pops u;
+    (d) p pops X V^r exactly into L, and L pops V^c exactly into L;
+    (e) the region of ``limit_level_bound`` holds every answer of c_inf to
+        popping X V^r, and of (q, V^w), q in L, to popping V^c, by shortest
+        derivations;
+    (f) exactness: each region configuration is bisimilar to each (q, V^w),
+        q in L, or separates from it at a level <= v;
+    (g) bisimilar configurations have equal levels against a third.
+
+    1. A regular start has finitely many classes of reachable
+       configurations, so all but finitely many c_m ~ c_inf: (a), (g), (b).
+    2. Let D(j) say (q, V^j T) ~ (q, V^w) for each q in L.  For m >= bound,
+       c_m ~ c_inf iff D(m - r).  If: (c), (d).  Only if: the attacker pops
+       X V^r from c_m into any q of L; c_inf's answer, bisimilar to
+       (q, V^(m-r) T), is in the region (e), and its level against (q, V^w)
+       is above v by (g) and (b), as m - r >= 1 + v, so infinite by (f).
+    3. For j > v, D(j) iff D(j + c), by the same steps on popping V^c.
+    4. So a finite base level separates c_m from c_inf for all m >= bound
+       with m = bound modulo c, and by 1 the start is not regular.  No
+       cutoff enters, no other count of copies adds to it, and by (b) the
+       base level is at least 1 + bound|V|.
     """
     if oracle.config != witness.pump.config:
         raise InputError(
@@ -484,26 +504,11 @@ def verify_witness(oracle, witness):
     validate_config(oracle.pda, witness.start)
     replay_loop(oracle.pda, witness.start, witness.loop)
 
-    bound = witness.pump.bound
-    cycle = max(1, witness.pump.cycle_length)
+    (bound, config) = (witness.pump.bound, oracle.config)
     ctx = GameContext(oracle, oracle)
-    checks = []
-    limit = witness.c_inf
-    for copies in (bound, bound + cycle, bound + 2 * cycle):
-        pumped = pumped_config(witness.loop, copies)
-        result = _eqlevel_ladder(
-            ctx, pumped, limit, oracle.config.cutoff, oracle.config.omega_budget, GameContext.level
-        )
-        checks.append((copies, result))
-    (_, base) = checks[0]
-
-    corroborated = None
-    levels = [r for (_, r) in checks]
-    if all(r.is_finite for r in levels):
-        corroborated = levels[0].value < levels[1].value < levels[2].value
-    elif any(r.is_omega for r in levels):
-        corroborated = False
-
+    base = _eqlevel_ladder(
+        ctx, witness.c_fin, witness.c_inf, config.cutoff, config.omega_budget, GameContext.level
+    )
     if base.is_omega:
         verdict = "refuted"
         reason = "the pumped configuration is bisimilar to its limit"
@@ -518,18 +523,12 @@ def verify_witness(oracle, witness):
         )
     else:
         verdict = "exhausted"
-        reason = "no separation up to the cutoff %d" % (oracle.config.cutoff,)
-
-    certified = (
-        verdict == "verified" and witness.pump.levels.exact and corroborated is True
-    )
+        reason = "no separation up to the cutoff %d" % (config.cutoff,)
     return WitnessCheck(
         verdict=verdict,
         bound=bound,
         base=base,
-        corroboration=tuple(checks),
-        corroborated=corroborated,
-        certified=certified,
+        certified=verdict == "verified" and witness.pump.levels.exact,
         reason=reason,
     )
 
@@ -747,8 +746,9 @@ class Verdict:
 
     kind is "regular", "nonregular" or "unknown".  For "nonregular",
     ``exactness`` qualifies the verdict: "certified" rests on the norm
-    argument or on exact bounds and corroborated growth, "modulo-cutoff"
-    additionally trusts that the configured cutoffs were large enough.
+    argument or on a pump witness with an exact level bound
+    (``verify_witness``), "modulo-cutoff" additionally trusts that the
+    configured cutoffs and region cap were large enough.
     ``certificate`` carries a FiniteComparison (regular), or a
     NormedEvidence or NonRegularityEvidence (nonregular).
     """
@@ -833,13 +833,8 @@ def decide_regularity(pda, start, config=AnalysisConfig()):
                 check = verify_witness(oracle, witness)
                 if check.verdict == "verified":
                     exactness = "certified" if check.certified else "modulo-cutoff"
-                    return Verdict(
-                        "nonregular",
-                        exactness,
-                        "negative",
-                        NonRegularityEvidence(witness, check),
-                        stats(),
-                    )
+                    evidence = NonRegularityEvidence(witness, check)
+                    return Verdict("nonregular", exactness, "negative", evidence, stats())
                 if examined >= config.candidate_budget:
                     negative_done = True
                     break

@@ -36,6 +36,7 @@ from pdabisim import (
 )
 from pdabisim.pda import normalize_rules
 from pdabisim.reachability import reach_automaton
+from pdabisim.regularity import pumped_config
 
 from oracles import (
     OracleBudget,
@@ -515,13 +516,18 @@ def test_criterion_07_regularity_verdicts_with_certificates():
     assert check.verdict == "verified"
     assert check.certified
     bound = check.bound
-    cycle = len(evidence.witness.loop.period)
-    indices = [m for (m, _) in check.corroboration]
-    assert indices == [bound, bound + cycle, bound + 2 * cycle]
-    for (m, r) in check.corroboration:
+    cycle = evidence.witness.pump.cycle_length
+    ctx = GameContext(PdaOracle(COUNTER), PdaOracle(COUNTER))
+    stages = [bound, bound + cycle, bound + 2 * cycle]
+    got = [
+        ctx.level(pumped_config(evidence.witness.loop, m), evidence.witness.c_inf, 64)
+        for m in stages
+    ]
+    assert (got[0].kind, got[0].value) == (check.base.kind, check.base.value)
+    for (m, r) in zip(stages, got):
         assert r.kind == "finite"
         assert r.value >= m
-    levels = [r.value for (_, r) in check.corroboration]
+    levels = [r.value for r in got]
     assert levels[0] < levels[1] < levels[2]
     CERT_DOCS.append(certs.verdict_document(COUNTER, COUNTER_START, negative))
 
@@ -543,8 +549,8 @@ def test_criterion_07_regularity_verdicts_with_certificates():
     assert (halted.kind, halted.exactness) == ("regular", "certified")
     CERT_DOCS.append(certs.verdict_document(DEADLOCK, fin("p", "X"), halted))
     print(
-        "criterion 07 PASS: counter nonregular (bound %d, base %d, rising"
-        " corroboration), growing regular via a one-state system, deadlock"
+        "criterion 07 PASS: counter nonregular (bound %d, base %d, levels"
+        " rising past it), growing regular via a one-state system, deadlock"
         " regular" % (bound, check.base.value)
     )
 

@@ -1,6 +1,7 @@
 """Command line round trips, exit codes and output stability."""
 
 import json
+import random
 import shlex
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from pdabisim.cli import (
     parse_pda,
     serialize_lts,
 )
+
+from oracles import random_pda
 
 
 def serialize_pda(pda, init=None):
@@ -635,6 +638,30 @@ def test_witness_verify_points_a_normed_witness_to_certcheck(files, capsys):
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize(
+    ("seed", "exactness"),
+    [(7126, "certified"), (7163, "certified"), (7034, "modulo-cutoff")],
+)
+def test_certcheck_says_what_a_pump_witness_rests_on(files, capsys, seed, exactness):
+    # 8/3/30 seeds: 7126 and 7163 rest on exact level bounds, 7034 on a level
+    # bound whose region pairs ran into the cutoff; certcheck accepts all three
+    certified = exactness == "certified"
+    pda = random_pda(random.Random(seed), 8, 3, 30)
+    start = Config(sorted(pda.controls)[0], StackWord.finite((sorted(pda.stack_alphabet)[0],)))
+    source = files["dir"] / ("%d.pda" % (seed,))
+    source.write_text(serialize_pda(pda, start))
+    cert = str(files["dir"] / ("%d.cert.json" % (seed,)))
+    assert main(["regcheck", str(source), "--cert-out", cert]) == (1 if certified else 2)
+    assert "exactness: %s\n" % (exactness,) in capsys.readouterr().out
+    assert main(["certcheck", cert]) == 0
+    assert "ok: true\nexactness: %s\n" % (exactness,) in capsys.readouterr().out
+    assert main(["certcheck", cert, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["exactness"] == exactness
+    assert main(["witness-verify", cert]) == (0 if certified else 2)
+    assert "certified: %s\n" % ("true" if certified else "false") in capsys.readouterr().out
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -654,13 +681,16 @@ def readme_session():
 def test_readme_session_transcripts_match(files, capsys):
     runs = readme_session()
     assert [argv for (argv, _) in runs] == [
-        ["regcheck", "counter.pda"],
+        ["regcheck", "counter.pda", "--cert-out", "counter.cert.json"],
+        ["certcheck", "counter.cert.json"],
         ["eqlevel", "counter.pda", "p[A X]", "p[A A X]"],
         ["regcheck", "normed.pda"],
     ]
+    files["counter.cert.json"] = str(files["dir"] / "counter.cert.json")
     for (argv, expected) in runs:
         main([files.get(arg, arg) for arg in argv])
-        assert capsys.readouterr().out.splitlines() == expected, argv
+        out = capsys.readouterr().out.replace(str(files["dir"]) + "/", "")
+        assert out.splitlines() == expected, argv
 
 
 def readme_library_example():

@@ -62,9 +62,10 @@ def test_witness_document_round_trips_its_config(counter, counter_start):
         "pump_omega_budget": 64,
         "region_cap": 2048,
     }
-    (oracle, witness) = certs.witness_from_document(doc)
-    assert oracle.config == config
-    assert witness.pump == verdict.certificate.witness.pump
+    (check, mismatch) = certs.recheck_witness(doc)
+    assert mismatch is None
+    assert check.bound == verdict.certificate.witness.pump.bound
+    assert check.base == verdict.certificate.check.base
     assert certs.check_document(doc).ok
 
 
@@ -79,6 +80,14 @@ def test_a_witness_decided_under_a_small_region_cap_rechecks():
     assert (doc["bound"], doc["budgets"]["region_cap"]) == (3, 4)
     got = certs.check_document(doc)
     assert got.ok, got.detail
+    # the re-check runs under the stored budgets: at the default cap the
+    # recomputed bound is 6, and the stored 3 no longer matches
+    (check, mismatch) = certs.recheck_witness(doc)
+    assert (check.bound, mismatch) == (3, None)
+    default_cap = dict(doc, budgets=dict(doc["budgets"], region_cap=2048))
+    (check, mismatch) = certs.recheck_witness(default_cap)
+    assert check.bound == 6
+    assert mismatch == "recomputed bound 6 does not match the stored 3"
 
 
 def test_absorbing_views_share_the_oracle_config_table_and_floors(counter):
@@ -90,12 +99,12 @@ def test_absorbing_views_share_the_oracle_config_table_and_floors(counter):
     assert view.absorbed is raw.absorbed
 
 
-def test_witness_from_document_checks_format_and_fields(counter, counter_start):
+def test_recheck_witness_checks_format_and_fields(counter, counter_start):
     verdict = decide_regularity(counter, counter_start)
     doc = certs.verdict_document(counter, counter_start, verdict)
     with pytest.raises(InputError):
-        certs.witness_from_document(dict(doc, format=99))
+        certs.recheck_witness(dict(doc, format=99))
     with pytest.raises(InputError):
-        certs.witness_from_document({"kind": "witness", "format": certs.FORMAT})
+        certs.recheck_witness({"kind": "witness", "format": certs.FORMAT})
     with pytest.raises(InputError):
-        certs.witness_from_document(dict(doc, budgets=[]))
+        certs.recheck_witness(dict(doc, budgets=[]))

@@ -98,10 +98,11 @@ def test_counter_witness_verifies(counter, counter_start):
     check = verify_witness(PdaOracle(counter), witness)
     assert check.verdict == "verified"
     assert check.certified
-    assert check.corroborated is True
     assert check.bound == 2
     assert (check.base.kind, check.base.value) == ("finite", 3)
-    assert [(m, r.value) for (m, r) in check.corroboration] == [(2, 3), (3, 4), (4, 5)]
+    ctx = GameContext(PdaOracle(counter), PdaOracle(counter))
+    levels = [ctx.level(pumped_config(candidate, m), witness.c_inf, 64) for m in (2, 3, 4)]
+    assert [r.value for r in levels] == [3, 4, 5]
 
 
 def test_witness_exhausts_under_tiny_cutoff(counter, counter_start):
@@ -126,7 +127,6 @@ def test_witness_on_regular_process_is_refuted(growing, growing_start):
     witness = Witness(growing_start, candidate, pump_bound(PdaOracle(growing), candidate))
     check = verify_witness(PdaOracle(growing), witness)
     assert check.verdict == "refuted"
-    assert check.corroborated is False
 
 
 def test_witness_with_broken_replay_is_malformed(counter, counter_start):
@@ -501,3 +501,49 @@ def test_witness_documents_of_the_plain_ladder_order_are_pinned(seed, shape, dig
     doc = certs.verdict_document(pda, start, verdict)
     assert doc["kind"] == "witness"
     assert hashlib.sha256(certs.dumps(doc).encode()).hexdigest() == digest
+
+
+def seed_start(seed, shape):
+    pda = random_pda(random.Random(seed), *shape)
+    return (pda, fin(sorted(pda.controls)[0], sorted(pda.stack_alphabet)[0]))
+
+
+def test_a_family_rising_at_every_other_copy_is_certified():
+    # 7126: an exact level bound and a finite base level are the whole proof
+    # (verify_witness); the levels past the bound rise by 2 every second copy,
+    # so no three consecutive samples rise strictly, and none is needed
+    (pda, start) = seed_start(7126, (8, 3, 30))
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    (witness, check) = (verdict.certificate.witness, verdict.certificate.check)
+    assert (witness.pump.bound, witness.pump.cycle_length, check.base.value) == (4, 1, 5)
+    assert witness.pump.levels.exact
+    ctx = GameContext(PdaOracle(pda), PdaOracle(pda))
+    levels = [
+        ctx.level(pumped_config(witness.loop, 4 + j), witness.c_inf, 64).value for j in range(9)
+    ]
+    assert levels == [5, 7, 7, 9, 9, 11, 11, 13, 13]
+
+
+def test_a_family_rising_past_the_cutoff_is_certified():
+    # 7163: the level at bound + 2 copies is 65, past the default cutoff 64;
+    # the verdict plays only the base level, 57 at the bound 14
+    (pda, start) = seed_start(7163, (8, 3, 30))
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "certified")
+    (witness, check) = (verdict.certificate.witness, verdict.certificate.check)
+    assert (witness.pump.bound, check.base.value) == (14, 57)
+    ctx = GameContext(PdaOracle(pda), PdaOracle(pda))
+    third = ctx.level(pumped_config(witness.loop, 16), witness.c_inf, 64)
+    assert (third.kind, third.value) == ("at_least", 64)
+
+
+def test_an_inexact_level_bound_stays_modulo_cutoff():
+    (pda, start) = seed_start(7034, (8, 3, 30))
+    verdict = decide_regularity(pda, start)
+    assert (verdict.kind, verdict.exactness) == ("nonregular", "modulo-cutoff")
+    check = verdict.certificate.check
+    assert check.verdict == "verified" and not check.certified
+    assert not verdict.certificate.witness.pump.levels.exact
+    got = certs.check_document(certs.verdict_document(pda, start, verdict))
+    assert (got.ok, got.exactness) == (True, "modulo-cutoff")
